@@ -43,7 +43,8 @@ void BM_TrialTraced(benchmark::State& state) {
   for (auto _ : state) {
     recovery::RollbackRetry mechanism;
     harness::TrialObservation observation;
-    const auto outcome = harness::run_trial(plan, mechanism, {}, &observation);
+    const auto outcome = harness::run_trial(
+        plan, mechanism, {}, {.observation = &observation});
     benchmark::DoNotOptimize(outcome.failures);
     events = observation.trace.size();
   }

@@ -161,8 +161,8 @@ int cmd_specimen(const std::string& fault_id, const std::string& mechanism) {
   // and invariant-checker verdicts on top of the harness observations.
   harness::TrialObservation observation;
   forensics::TrialForensics forens;
-  const auto outcome =
-      harness::run_trial(plan, *mech, config, &observation, nullptr, &forens);
+  const auto outcome = harness::run_trial(
+      plan, *mech, config, {.observation = &observation, .forensics = &forens});
 
   std::printf("specimen  : %s under %s (seed=%llu)\n", fault_id.c_str(),
               mechanism.c_str(),

@@ -58,7 +58,8 @@ int audit(const corpus::SeedFault& seed) {
   const auto plan = inject::plan_for(seed, 42);
   recovery::RollbackRetry mechanism;
   harness::TrialObservation observation;
-  const auto outcome = harness::run_trial(plan, mechanism, {}, &observation);
+  const auto outcome =
+      harness::run_trial(plan, mechanism, {}, {.observation = &observation});
 
   std::printf("trial   : %s (%zu failures, %zu recoveries, %zu trace "
               "events)\n\n",

@@ -152,13 +152,14 @@ int main(int argc, char** argv) {
   obs::CoverageMap cover;
   const auto plan = inject::plan_for(*seed, 42);
   env::Environment environment(plan.env_config);
+  obs::TrialObservers observers{want_telemetry ? &telem : nullptr, nullptr,
+                               want_coverage ? &cover : nullptr};
   telemetry::SpanTracer* tracer = nullptr;
   if (want_telemetry) {
-    environment.set_counters(&telem.counters);
     telem.spans.bind_sim(&environment.clock());
     tracer = &telem.spans;
   }
-  if (want_coverage) environment.set_coverage(&cover);
+  if (want_telemetry || want_coverage) environment.set_observers(&observers);
   // Opened/closed by hand: the scope must end before the export below, not
   // at the end of main.
   std::size_t trial_span = 0;
@@ -203,12 +204,12 @@ int main(int argc, char** argv) {
       action = mechanism->recover(*app, environment);
     }
     if (want_telemetry) {
-      ++telem.counters.recovery.attempts;
+      ++telem.counters.recovery_attempts;
       if (action.recovered) {
-        ++telem.counters.recovery.successes;
-        telem.counters.recovery.items_rewound += action.rewind_items;
+        ++telem.counters.recovery_successes;
+        telem.counters.items_rewound += action.rewind_items;
       } else {
-        ++telem.counters.recovery.failures;
+        ++telem.counters.recovery_failures;
       }
       telem.recovery_latency_ticks.observe(
           static_cast<std::int64_t>(environment.now() - recovery_start));

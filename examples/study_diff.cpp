@@ -12,8 +12,10 @@
 // byte-identical for any --threads value and `check` is a sound CI gate.
 //
 // Exit codes: 0 ok / no drift, 1 I/O error, 2 usage error, 3 snapshot
-// parse error, 4 fatal drift (lost coverage, distribution or survival-rate
-// shifts beyond tolerance).
+// parse error, 4 fatal drift (a changed study identity — seed, repeats,
+// trials, probe universe — lost coverage, distribution or survival-rate
+// shifts beyond tolerance). `check` also exits 4 when the baseline itself
+// is rejected: the CI gate fails closed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,9 +158,11 @@ int cmd_check(const std::string& baseline_path) {
   if (!read_file(baseline_path, baseline_text)) return 1;
   const auto baseline = obs::parse_snapshot(baseline_text);
   if (!baseline.ok()) {
-    std::fprintf(stderr, "%s: %s\n", baseline_path.c_str(),
-                 baseline.error().c_str());
-    return 3;
+    // The gate fails closed: a baseline that is not a complete snapshot
+    // (a dropped section, an unknown key) cannot vouch for any run.
+    std::fprintf(stderr, "%s: %s\nFATAL baseline rejected\n",
+                 baseline_path.c_str(), baseline.error().c_str());
+    return 4;
   }
   const StudyRun run = run_study();
   return report_drift(

@@ -9,9 +9,7 @@
 #include <cstdint>
 
 #include "env/clock.hpp"
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/event.hpp"
 
 namespace faultstudy::env {
 
@@ -31,19 +29,9 @@ class EntropyPool {
 
   std::uint64_t refill_rate() const noexcept { return refill_per_tick_; }
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
+  /// Per-trial event stream; nullptr (the default) records nothing.
+  void set_observers(obs::TrialObservers* observers) noexcept {
+    observers_ = observers;
   }
 
  private:
@@ -52,9 +40,7 @@ class EntropyPool {
   mutable std::uint64_t bits_;
   std::uint64_t refill_per_tick_;
   mutable Tick last_ = 0;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  obs::TrialObservers* observers_ = nullptr;
   static constexpr std::uint64_t kPoolMax = 4096;
 };
 

@@ -11,8 +11,7 @@
 
 #include <cstdint>
 
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/event.hpp"
 #include "util/rng.hpp"
 
 namespace faultstudy::env {
@@ -45,14 +44,9 @@ class Scheduler {
   static bool in_hazard_window(const Interleaving& i, double start,
                                double width) noexcept;
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
+  /// Per-trial event stream; nullptr (the default) records nothing.
+  void set_observers(obs::TrialObservers* observers) noexcept {
+    observers_ = observers;
   }
 
  private:
@@ -60,8 +54,7 @@ class Scheduler {
   double replay_bias_ = 0.0;
   bool has_last_ = false;
   Interleaving last_;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  obs::TrialObservers* observers_ = nullptr;
 };
 
 }  // namespace faultstudy::env

@@ -39,8 +39,6 @@ std::string_view to_string(FlightCode code) noexcept {
     case FlightCode::kColdRestart: return "cold-restart";
     case FlightCode::kRejuvenation: return "rejuvenation";
     case FlightCode::kRetrySanitized: return "retry-sanitized";
-    case FlightCode::kDetectorRace: return "detector-race";
-    case FlightCode::kInvariantViolation: return "invariant-violation";
     case FlightCode::kCount: break;
   }
   return "none";

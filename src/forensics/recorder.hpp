@@ -1,22 +1,18 @@
 // Fault-forensics flight recorder: a fixed-capacity ring buffer of
 // structured events that stays attached to every trial.
 //
-// The recorder is the always-on half of the forensics layer (DESIGN.md §10):
+// The recorder is the always-on half of the forensics layer (DESIGN.md §9):
 // injection arming, environment resource transitions, application state
-// changes, recovery actions, and detector verdicts are appended as small
+// changes, and recovery actions are appended as small
 // fixed-size records stamped with the simulated clock and the executor lane
 // that wrote them. When the ring is full the oldest events are overwritten —
 // a post-mortem cares about the window leading up to the failure, not the
 // full history — and the drop count is kept so exports can say what was
 // lost.
 //
-// Cost model, mirroring telemetry/counters.hpp:
-//
-//   * disabled at compile time (-DFAULTSTUDY_FORENSICS=OFF): every
-//     FS_FORENSIC site expands to nothing;
-//   * compiled in but no recorder attached (the default): one predictable
-//     `ptr != nullptr` branch per site;
-//   * attached: one bounds-checked store into a preallocated ring slot.
+// Events reach the ring through the trial event stream (obs/event.hpp),
+// whose table decides which events record; with a recorder attached each of
+// those is one bounds-checked store into a preallocated ring slot.
 //
 // Determinism contract: a trial is single-threaded and the ring is owned by
 // exactly one trial, so event order and sim-clock stamps are bit-identical
@@ -32,34 +28,6 @@
 
 #include "env/clock.hpp"
 #include "util/thread_pool.hpp"
-
-// CMake defines FAULTSTUDY_FORENSICS to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_FORENSICS
-#define FAULTSTUDY_FORENSICS 1
-#endif
-
-// Runs `expr` on the recorder when forensics is compiled in and `sink` is
-// non-null: FS_FORENSIC(flight_, record(FlightCode::kDiskFull, bytes)).
-#if FAULTSTUDY_FORENSICS
-#define FS_FORENSIC(sink, expr)              \
-  do {                                       \
-    if (auto* fs_forensic_sink = (sink)) {   \
-      fs_forensic_sink->expr;                \
-    }                                        \
-  } while (0)
-#else
-// Disabled: the site still type-checks but generates no code, including the
-// evaluation of `sink`.
-#define FS_FORENSIC(sink, expr)                \
-  do {                                         \
-    if constexpr (false) {                     \
-      if (auto* fs_forensic_sink = (sink)) {   \
-        fs_forensic_sink->expr;                \
-      }                                        \
-    }                                          \
-  } while (0)
-#endif
 
 namespace faultstudy::forensics {
 
@@ -104,10 +72,6 @@ enum class FlightCode : std::uint8_t {
   kColdRestart,       ///< lossy stop+start cycle
   kRejuvenation,      ///< a = 1 for a proactive (scheduled) pass
   kRetrySanitized,    ///< wrapper rejected a killer input on retry
-
-  // -- analysis detector verdicts --
-  kDetectorRace,         ///< a = race reports over the trial's trace
-  kInvariantViolation,   ///< a = violations over the trial's transcript
 
   kCount,  // sentinel
 };

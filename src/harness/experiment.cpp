@@ -84,24 +84,6 @@ class ResourceRecorder {
   std::uint64_t disk_used_ = 0;
 };
 
-/// Maps the trial verdict onto its coverage probe; the atlas's "trial"
-/// section mirrors the TrialVerdict enum one-to-one.
-obs::Site verdict_site(forensics::TrialVerdict verdict) noexcept {
-  switch (verdict) {
-    case forensics::TrialVerdict::kSurvived: return obs::Site::kTrialSurvived;
-    case forensics::TrialVerdict::kStartFailure:
-      return obs::Site::kTrialStartFailure;
-    case forensics::TrialVerdict::kRetryCapExceeded:
-      return obs::Site::kTrialRetryCapExceeded;
-    case forensics::TrialVerdict::kBudgetExhausted:
-      return obs::Site::kTrialBudgetExhausted;
-    case forensics::TrialVerdict::kRecoveryFailed:
-      return obs::Site::kTrialRecoveryFailed;
-    case forensics::TrialVerdict::kCount: break;
-  }
-  return obs::Site::kTrialSurvived;
-}
-
 /// Transcript verdict labels predate the TrialVerdict enum; keep the exact
 /// strings so existing transcript consumers see no change.
 std::string_view verdict_label(forensics::TrialVerdict verdict) noexcept {
@@ -122,12 +104,9 @@ std::string_view verdict_label(forensics::TrialVerdict verdict) noexcept {
 
 TrialOutcome run_trial(const inject::InjectionPlan& plan,
                        recovery::Mechanism& mechanism,
-                       const TrialConfig& config,
-                       TrialObservation* observation,
-                       telemetry::TrialTelemetry* telemetry,
-                       forensics::TrialForensics* forensics,
-                       obs::CoverageMap* coverage) {
+                       const TrialConfig& config, const TrialSinks& sinks) {
   TrialOutcome outcome;
+  TrialObservation* const observation = sinks.observation;
 
   // Patch the trial seed into cheap copies of the two config structs rather
   // than copying the whole plan (seed strings, arming closure and all).
@@ -139,55 +118,50 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
   env::Environment environment(env_config);
   if (observation != nullptr) environment.trace().enable();
 
-  // Bind the flight recorder before anything else happens so the ring sees
+  // Bind the event stream before anything else happens so every view sees
   // the whole trial: arming, resource transitions, recoveries, verdict.
-  forensics::FlightRecorder* flight = nullptr;
-  if (forensics != nullptr) {
-    flight = &forensics->ring;
-    flight->bind_clock(&environment.clock());
-    environment.set_flight(flight);
+  // Mechanisms cache it in attach().
+  obs::TrialObservers observers{
+      sinks.telemetry,
+      sinks.forensics != nullptr ? &sinks.forensics->ring : nullptr,
+      sinks.coverage};
+  if (observers.flight != nullptr) {
+    observers.flight->bind_clock(&environment.clock());
   }
-
-  const apps::Workload workload =
-      apps::make_workload(plan.seed.app, workload_spec);
-  FS_FORENSIC(flight, record(forensics::FlightCode::kTrialStart,
-                             workload.size(), config.cycles));
-
-  // Bind the coverage sink before any probe can fire; mechanisms cache it
-  // in attach(), the same way they cache the telemetry counters.
-  if (coverage != nullptr) environment.set_coverage(coverage);
-
-  // Bind telemetry before attach(): mechanisms cache the sink there.
   telemetry::SpanTracer* tracer = nullptr;
   std::string recovery_span_name;
-  if (telemetry != nullptr) {
-    environment.set_counters(&telemetry->counters);
-    telemetry->spans.bind_sim(&environment.clock());
-    tracer = &telemetry->spans;
+  if (observers.telemetry != nullptr) {
+    observers.telemetry->spans.bind_sim(&environment.clock());
+    tracer = &observers.telemetry->spans;
     recovery_span_name = "recovery/";
     recovery_span_name += mechanism.name();
   }
+  if (observers.telemetry != nullptr || observers.flight != nullptr ||
+      observers.coverage != nullptr) {
+    environment.set_observers(&observers);
+  }
+  obs::TrialObservers* const stream = environment.observers();
+
+  const apps::Workload workload =
+      apps::make_workload(plan.seed.app, workload_spec);
+  obs::emit(stream, obs::Event::kTrialStart, workload.size(), config.cycles);
   TELEM_SPAN(tracer, "trial");
 
   auto app = inject::make_app(plan.seed.app);
   app->arm_fault(plan.fault);
-  FS_FORENSIC(flight,
-              record(forensics::FlightCode::kFaultArmed,
-                     static_cast<std::uint64_t>(plan.seed.trigger),
-                     static_cast<std::uint64_t>(plan.seed.symptom)));
-  FS_COVER(coverage, hit_inject(plan.seed.trigger));
+  obs::emit(stream, obs::Event::kFaultArmed,
+            static_cast<std::uint64_t>(plan.seed.trigger),
+            static_cast<std::uint64_t>(plan.seed.symptom));
 
   const auto finish = [&](forensics::TrialVerdict verdict) {
-    FS_FORENSIC(flight, record(forensics::FlightCode::kVerdict,
-                               static_cast<std::uint64_t>(verdict)));
-    FS_COVER(coverage, hit(verdict_site(verdict)));
+    obs::emit(stream, obs::Event::kVerdict,
+              static_cast<std::uint64_t>(verdict));
     if (observation != nullptr) {
       observation->transcript.record(EventKind::kVerdict, environment.now(), 0,
                                      std::string(verdict_label(verdict)));
       observation->trace = environment.trace().events();
     }
-#if FAULTSTUDY_FORENSICS
-    if (forensics != nullptr &&
+    if (sinks.forensics != nullptr &&
         verdict != forensics::TrialVerdict::kSurvived) {
       forensics::PostMortemInputs inputs;
       inputs.fault_id = plan.seed.fault_id;
@@ -203,10 +177,9 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
         inputs.transcript = &observation->transcript;
         inputs.trace = observation->trace;
       }
-      forensics->postmortem =
-          forensics::build_postmortem(forensics->ring, environment, inputs);
+      sinks.forensics->postmortem = forensics::build_postmortem(
+          sinks.forensics->ring, environment, inputs);
     }
-#endif
   };
 
   if (!app->start(environment)) {
@@ -215,9 +188,9 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     return outcome;
   }
   plan.arm_environment(environment, *app);
-  FS_FORENSIC(flight, record(forensics::FlightCode::kEnvArmed));
+  obs::emit(stream, obs::Event::kEnvArmed);
   mechanism.attach(*app, environment);
-  FS_COVER(coverage, hit(obs::Site::kRecAttach));
+  obs::emit(stream, obs::Event::kAttach);
 
   // The resource baseline is taken after start + arming: the recorder sees
   // only what the workload and the mechanism do from here on.
@@ -246,8 +219,8 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
 
     const env::Tick item_start = environment.now();
     const apps::StepResult result = app->handle(*item, environment);
-    FS_TELEM(telemetry,
-             item_latency_ticks.observe(environment.now() - item_start));
+    obs::emit(stream, obs::Event::kItemDone,
+              static_cast<std::uint64_t>(environment.now() - item_start));
     if (recorder.has_value()) {
       recorder->observe(i);
       observation->transcript.record(
@@ -264,9 +237,8 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     ++outcome.failures;
     outcome.failure_observed = true;
     if (outcome.first_failure.empty()) outcome.first_failure = result.detail;
-    FS_FORENSIC(flight,
-                record(forensics::FlightCode::kItemFailed, i,
-                       static_cast<std::uint64_t>(result.status)));
+    obs::emit(stream, obs::Event::kItemFailed, i,
+              static_cast<std::uint64_t>(result.status));
 
     if (++consecutive > config.per_item_retries) {
       finish(forensics::TrialVerdict::kRetryCapExceeded);
@@ -281,16 +253,15 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
       observation->transcript.record(EventKind::kRecoveryBegin,
                                      environment.now(), i);
     }
-    FS_FORENSIC(flight, record(forensics::FlightCode::kRecoveryBegin, i));
+    obs::emit(stream, obs::Event::kRecoveryBegin, i);
     const env::Tick recovery_start = environment.now();
     recovery::RecoveryAction action;
     {
       TELEM_SPAN(tracer, recovery_span_name);
       action = mechanism.recover(*app, environment);
     }
-    FS_TELEM(telemetry, counters.recovery.attempts++);
-    FS_TELEM(telemetry, recovery_latency_ticks.observe(environment.now() -
-                                                       recovery_start));
+    obs::emit(stream, obs::Event::kRecoveryAttempt,
+              static_cast<std::uint64_t>(environment.now() - recovery_start));
     ++outcome.recoveries;
     if (!mechanism.preserves_state()) outcome.state_preserved = false;
     // Roll the cursor back to the restored checkpoint; those items are
@@ -308,24 +279,14 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
                                          : EventKind::kRecoveryFailed,
                                      environment.now(), i);
     }
-    if (rewind > 0) {
-      FS_FORENSIC(flight, record(forensics::FlightCode::kRollback, rewind));
-      FS_COVER(coverage, hit(obs::Site::kRecRollbackRewind));
-    }
+    if (rewind > 0) obs::emit(stream, obs::Event::kRollback, rewind);
     if (!action.recovered) {
-      FS_TELEM(telemetry, counters.recovery.failures++);
-      FS_FORENSIC(flight,
-                  record(forensics::FlightCode::kRecoveryFailed, i));
-      FS_COVER(coverage, hit(obs::Site::kRecRecoveryFailed));
+      obs::emit(stream, obs::Event::kRecoveryFailed, i);
       outcome.first_failure += " (recovery failed)";
       finish(forensics::TrialVerdict::kRecoveryFailed);
       return outcome;
     }
-    FS_TELEM(telemetry, counters.recovery.successes++);
-    FS_TELEM(telemetry, counters.recovery.items_rewound += rewind);
-    FS_FORENSIC(flight,
-                record(forensics::FlightCode::kRecoveryOk, i, rewind));
-    FS_COVER(coverage, hit(obs::Site::kRecRecoveryOk));
+    obs::emit(stream, obs::Event::kRecoveryOk, i, rewind);
     outcome.items_reexecuted += rewind;
     i -= rewind;
   }
@@ -384,18 +345,21 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     return result;
   }
 
-  // Majority vote over the repeats of one (mechanism, seed) cell. Every
-  // trial seed is derived from the fault id, so cells are independent and
-  // farm out to the pool; the reduction below runs on this thread in index
-  // order, making the MatrixResult identical for every thread count.
+  // Majority vote over the repeats of one (mechanism, seed) cell, plus the
+  // cell's aggregate of every attached view. Every trial seed is derived
+  // from the fault id, so cells are independent and farm out to the pool;
+  // the reduction below runs on this thread in index order, making the
+  // MatrixResult and every view identical for every thread count.
   struct CellVotes {
     int survived = 0;
     int observed = 0;
     bool lost_state = false;
-    /// Per-cell telemetry aggregate (counters and histograms summed over
-    /// repeats; the spans kept are the first repeat's). Heap-allocated so
-    /// the untelemetered path pays one pointer per cell, nothing more.
+    /// Counters and histograms summed over repeats; the spans kept are the
+    /// first repeat's. Heap-allocated, like `probes`, so the unobserved
+    /// path pays one pointer per cell.
     std::unique_ptr<telemetry::TrialTelemetry> telem;
+    /// Union coverage over the cell's repeats (every repeat marks it).
+    std::unique_ptr<obs::CoverageMap> probes;
     /// Per-repeat forensic fold data, in repeat order: whether the trial
     /// survived and (iff it did not) its post-mortem.
     struct TrialFate {
@@ -403,9 +367,6 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       std::optional<forensics::PostMortemRecord> postmortem;
     };
     std::vector<TrialFate> fates;
-    /// Union coverage over the cell's repeats. Heap-allocated for the same
-    /// reason as `telem`: the unobserved path pays one pointer per cell.
-    std::unique_ptr<obs::CoverageMap> probes;
   };
   const std::size_t cell_count = mechanisms.size() * seeds.size();
   auto cells = parallel_map<CellVotes>(
@@ -413,44 +374,35 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         const NamedMechanism& nm = mechanisms[cell / seeds.size()];
         const corpus::SeedFault& seed = seeds[cell % seeds.size()];
         CellVotes votes;
+        TrialSinks sinks;
+        if (coverage != nullptr) {
+          votes.probes = std::make_unique<obs::CoverageMap>();
+          sinks.coverage = votes.probes.get();
+        }
+        std::optional<forensics::TrialForensics> trial_forensics;
+        if (forensics != nullptr) sinks.forensics = &trial_forensics.emplace();
+        std::optional<telemetry::TrialTelemetry> trial_telem;
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
           tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
                     util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
-          telemetry::TrialTelemetry trial_telem;
-          telemetry::TrialTelemetry* tt =
-              telemetry != nullptr ? &trial_telem : nullptr;
-          forensics::TrialForensics trial_forensics;
-          forensics::TrialForensics* tf =
-              forensics != nullptr ? &trial_forensics : nullptr;
-          obs::CoverageMap trial_cover;
-          obs::CoverageMap* cc = coverage != nullptr ? &trial_cover : nullptr;
-          const TrialOutcome outcome =
-              run_trial(plan, *mechanism, tc, nullptr, tt, tf, cc);
-          if (cc != nullptr) {
-            if (votes.probes == nullptr) {
-              votes.probes = std::make_unique<obs::CoverageMap>(trial_cover);
-            } else {
-              votes.probes->merge(trial_cover);
-            }
+          if (telemetry != nullptr) sinks.telemetry = &trial_telem.emplace();
+          if (trial_forensics) trial_forensics->ring.clear();
+          const TrialOutcome outcome = run_trial(plan, *mechanism, tc, sinks);
+          if (trial_forensics) {
+            auto& postmortem = trial_forensics->postmortem;
+            if (postmortem.has_value()) postmortem->repeat = r;
+            votes.fates.push_back({outcome.survived, std::move(postmortem)});
+            postmortem.reset();
           }
-          if (tf != nullptr) {
-            if (tf->postmortem.has_value()) tf->postmortem->repeat = r;
-            votes.fates.push_back(
-                {outcome.survived, std::move(tf->postmortem)});
-          }
-          if (tt != nullptr) {
+          if (trial_telem) {
             if (votes.telem == nullptr) {
               votes.telem = std::make_unique<telemetry::TrialTelemetry>(
-                  std::move(trial_telem));
+                  std::move(*trial_telem));
             } else {
-              telemetry::merge(votes.telem->counters, trial_telem.counters);
-              votes.telem->recovery_latency_ticks.merge(
-                  trial_telem.recovery_latency_ticks);
-              votes.telem->item_latency_ticks.merge(
-                  trial_telem.item_latency_ticks);
+              telemetry::merge(*votes.telem, *trial_telem);
             }
           }
           if (outcome.failure_observed) {
@@ -462,51 +414,8 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         return votes;
       });
 
-  // Serial index-order fold of per-cell forensics: the post-mortem
-  // collection comes out in (mechanism, seed, repeat) order for every
-  // thread count.
-  if (forensics != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        CellVotes& votes = cells[m * seeds.size() + s];
-        for (auto& fate : votes.fates) {
-          forensics->fold_trial(fate.survived, std::move(fate.postmortem));
-        }
-      }
-    }
-  }
-
-  // Serial index-order fold of per-cell coverage: the atlas's totals,
-  // per-specimen vectors, and mechanism grids come out identical for every
-  // thread count.
-  if (coverage != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        const CellVotes& votes = cells[m * seeds.size() + s];
-        if (votes.probes == nullptr) continue;
-        coverage->fold_cell(m, s, *votes.probes,
-                            static_cast<std::uint64_t>(repeats),
-                            static_cast<std::uint64_t>(votes.observed),
-                            static_cast<std::uint64_t>(votes.survived));
-      }
-    }
-  }
-
-  // Serial index-order fold of per-cell telemetry: study metrics and the
-  // kept traces come out identical for every thread count.
-  if (telemetry != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        CellVotes& votes = cells[m * seeds.size() + s];
-        if (votes.telem == nullptr) continue;
-        telemetry->fold_trial(mechanisms[m].name,
-                              mechanisms[m].name + "/" + seeds[s].fault_id,
-                              std::move(*votes.telem),
-                              /*keep_trace=*/true);
-      }
-    }
-  }
-
+  // Serial index-order reduction: the survival tables, then each cell's
+  // views folded into the study aggregates.
   for (std::size_t m = 0; m < mechanisms.size(); ++m) {
     MechanismReport report;
     report.mechanism = mechanisms[m].name;
@@ -515,7 +424,21 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       report.generic = probe->is_generic();
     }
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const CellVotes& votes = cells[m * seeds.size() + s];
+      CellVotes& votes = cells[m * seeds.size() + s];
+      if (votes.telem != nullptr) {
+        telemetry->fold_trial(mechanisms[m].name,
+                              mechanisms[m].name + "/" + seeds[s].fault_id,
+                              std::move(*votes.telem));
+      }
+      for (auto& fate : votes.fates) {
+        forensics->fold_trial(fate.survived, std::move(fate.postmortem));
+      }
+      if (votes.probes != nullptr) {
+        coverage->fold_cell(m, s, *votes.probes,
+                            static_cast<std::uint64_t>(repeats),
+                            static_cast<std::uint64_t>(votes.observed),
+                            static_cast<std::uint64_t>(votes.survived));
+      }
       if (votes.observed == 0) {
         ++report.vacuous;
         continue;
@@ -550,7 +473,7 @@ OracleReport run_oracle_crosscheck(const std::vector<corpus::SeedFault>& seeds,
         // failure.
         recovery::RollbackRetry mechanism;
         TrialObservation observation;
-        (void)run_trial(plan, mechanism, tc, &observation);
+        (void)run_trial(plan, mechanism, tc, {.observation = &observation});
 
         OracleRow row;
         row.fault_id = seed.fault_id;

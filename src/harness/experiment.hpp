@@ -64,41 +64,45 @@ struct TrialObservation {
   std::vector<env::TraceEvent> trace;
 };
 
-/// Runs one fault under one mechanism. With `observation` set, the trial
-/// runs traced: the environment's synchronization log is enabled and the
-/// harness records the resource-level transcript (descriptor and
-/// process-table deltas, disk writes, recovery windows) alongside the
-/// protocol events.
+/// The optional views one trial feeds; any member may be null.
 ///
-/// With `telemetry` set, the trial binds it as the environment's counter
-/// sink, times items and recoveries in simulated ticks, and records
-/// sim-domain spans (a "trial" root plus one "recovery/<mechanism>" span
-/// per recovery). Virtual time is simulation state, so the recorded
-/// telemetry is identical for every thread count.
+/// With `observation` set, the trial runs traced: the environment's
+/// synchronization log is enabled and the harness records the
+/// resource-level transcript (descriptor and process-table deltas, disk
+/// writes, recovery windows) alongside the protocol events.
 ///
-/// With `forensics` set, the trial binds its flight-recorder ring as the
-/// environment's forensic sink: the harness protocol, environment resource
-/// transitions, application state changes, and recovery actions land in the
-/// ring as they happen. When the trial does NOT survive, the runner
-/// snapshots the ring plus the environment's resource state into
-/// `forensics->postmortem` and reconstructs the causal chain from injected
-/// fault to recovery outcome (forensics/postmortem.hpp); trials that ran
-/// traced also get detector verdicts folded into the chain's detection
-/// stage. Compiled out under -DFAULTSTUDY_FORENSICS=OFF.
+/// `telemetry`, `forensics` and `coverage` are the three views of the trial
+/// event stream (obs/event.hpp), bound into the environment as one
+/// obs::TrialObservers before anything else happens:
 ///
-/// With `coverage` set, the trial binds it as the environment's coverage
-/// sink: every probe the trial crosses — env denial branches, app state
-/// transitions, recovery-mechanism actions, the injected trigger, and the
-/// verdict — bumps its counter in the map. Probe counts are simulation
-/// state, so the map is identical for every thread count. Compiled out
-/// under -DFAULTSTUDY_COVERAGE=OFF.
+///   * telemetry: counters, tick histograms for items and recoveries, and
+///     sim-domain spans (a "trial" root plus one "recovery/<mechanism>"
+///     span per recovery);
+///   * forensics: the flight-recorder ring. When the trial does NOT
+///     survive, the runner snapshots the ring plus the environment's
+///     resource state into `forensics->postmortem` and reconstructs the
+///     causal chain from injected fault to recovery outcome
+///     (forensics/postmortem.hpp); traced trials also get detector verdicts
+///     folded into the chain's detection stage;
+///   * coverage: every probe the trial crosses — env denial branches, app
+///     state transitions, recovery-mechanism actions, the injected trigger,
+///     and the verdict.
+///
+/// Everything recorded is simulation state, so it is identical for every
+/// thread count.
+struct TrialSinks {
+  TrialObservation* observation = nullptr;
+  telemetry::TrialTelemetry* telemetry = nullptr;
+  forensics::TrialForensics* forensics = nullptr;
+  obs::CoverageMap* coverage = nullptr;
+};
+
+/// Runs one fault under one mechanism, feeding whichever views `sinks`
+/// attaches.
 TrialOutcome run_trial(const inject::InjectionPlan& plan,
                        recovery::Mechanism& mechanism,
                        const TrialConfig& config = {},
-                       TrialObservation* observation = nullptr,
-                       telemetry::TrialTelemetry* telemetry = nullptr,
-                       forensics::TrialForensics* forensics = nullptr,
-                       obs::CoverageMap* coverage = nullptr);
+                       const TrialSinks& sinks = {});
 
 /// Mechanism factory, so the matrix can instantiate a fresh mechanism per
 /// trial (mechanisms hold per-trial checkpoints).
@@ -149,23 +153,16 @@ struct MatrixResult {
 /// are probabilistic). Cells run on `config.threads` lanes; the result is
 /// identical for every thread count. Mechanism factories must be safe to
 /// invoke concurrently (the standard roster's stateless lambdas are).
-/// With `telemetry` set, every trial runs instrumented: counters and tick
-/// histograms from all repeats of a cell merge into one per-cell aggregate
-/// (held in the cell's index slot), and the serial reduction folds cells
-/// into `telemetry` in index order — so study-level metrics and the kept
-/// traces (the first repeat of each cell, labeled "mechanism/fault-id")
-/// are bit-identical for every thread count.
-/// With `forensics` set, every trial runs with a flight recorder attached
-/// and every failed trial's post-mortem (stamped with its repeat ordinal)
-/// lands in its cell's index slot; the serial reduction folds them into
-/// `forensics` in (mechanism, seed, repeat) order, so the post-mortem
-/// collection — and everything triage/export derives from it — is
-/// bit-identical for every thread count.
-/// With `coverage` set, every trial records its probe map; repeats of a
-/// cell merge into one per-cell map (held in the cell's index slot), and
-/// the serial reduction folds cells into the atlas in (mechanism, seed)
-/// index order — so the atlas, its blind-spot list, and every export
-/// derived from it are bit-identical for every thread count.
+/// The three trailing views are optional; each attached one feeds every
+/// trial. Repeats of a cell fold into one per-cell aggregate held in the
+/// cell's index slot, and one serial reduction folds cells in (mechanism,
+/// seed) index order, so every attached view comes out bit-identical for
+/// every thread count:
+///   * `telemetry`: counters and tick histograms summed over repeats; the
+///     kept trace is the first repeat's, labeled "mechanism/fault-id";
+///   * `forensics`: every failed trial's post-mortem, stamped with its
+///     repeat ordinal, in (mechanism, seed, repeat) order;
+///   * `coverage`: the union probe map of each cell, folded into the atlas.
 MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
                         const std::vector<NamedMechanism>& mechanisms,
                         const TrialConfig& config = {}, int repeats = 3,

@@ -1,6 +1,7 @@
 #include "obs/baseline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -18,6 +19,13 @@ double fraction(std::uint64_t num, std::uint64_t den) noexcept {
 }
 
 constexpr std::string_view kClassCodes[3] = {"ei", "edn", "edt"};
+
+/// The study's identity and its sections: the top-level keys every
+/// snapshot carries besides "schema".
+constexpr std::array<std::string_view, 3> kIdentityKeys = {"seed", "repeats",
+                                                           "trials"};
+constexpr std::array<std::string_view, 5> kSectionKeys = {
+    "classes", "matrix", "probes", "specimens", "counters"};
 
 }  // namespace
 
@@ -165,69 +173,76 @@ util::Result<StudySnapshot> parse_snapshot(std::string_view text) {
   if (snap.schema != kBaselineSchema) {
     return util::Err{"unsupported snapshot schema '" + snap.schema + "'"};
   }
+  // Every section is part of the contract: a missing one would parse as
+  // empty and silently switch off the drift checks that read it.
+  const auto listed = [](const auto& keys, std::string_view key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  for (const auto& member : root.object) {
+    if (member.first != "schema" && !listed(kIdentityKeys, member.first) &&
+        !listed(kSectionKeys, member.first)) {
+      return util::Err{"unknown snapshot key '" + member.first + "'"};
+    }
+  }
+  for (const std::string_view key : kIdentityKeys) {
+    const util::json::Value* v = root.find(key);
+    if (v == nullptr || !v->is_integer) {
+      return util::Err{"snapshot needs an integer '" + std::string(key) + "'"};
+    }
+  }
+  for (const std::string_view key : kSectionKeys) {
+    const util::json::Value* v = root.find(key);
+    if (v == nullptr || !v->is_array()) {
+      return util::Err{"snapshot needs a '" + std::string(key) + "' array"};
+    }
+  }
   snap.seed = static_cast<std::uint64_t>(root.int_or("seed", 0));
   snap.repeats = root.int_or("repeats", 0);
   snap.trials = static_cast<std::uint64_t>(root.int_or("trials", 0));
 
-  if (const util::json::Value* classes = root.find("classes");
-      classes != nullptr && classes->is_array()) {
-    for (const util::json::Value& v : classes->array) {
-      StudySnapshot::ClassRow row;
-      row.app = v.string_or("app", "");
-      for (std::size_t c = 0; c < 3; ++c) {
-        row.counts[c] = static_cast<std::uint64_t>(v.int_or(kClassCodes[c], 0));
+  for (const util::json::Value& v : root.find("classes")->array) {
+    StudySnapshot::ClassRow row;
+    row.app = v.string_or("app", "");
+    for (std::size_t c = 0; c < 3; ++c) {
+      row.counts[c] = static_cast<std::uint64_t>(v.int_or(kClassCodes[c], 0));
+    }
+    snap.classes.push_back(std::move(row));
+  }
+  for (const util::json::Value& v : root.find("matrix")->array) {
+    StudySnapshot::MatrixRow row;
+    row.mechanism = v.string_or("mechanism", "");
+    if (const util::json::Value* g = v.find("generic"); g != nullptr) {
+      row.generic = g->boolean;
+    }
+    const util::json::Value* survived = v.find("survived");
+    const util::json::Value* total = v.find("total");
+    for (std::size_t c = 0; c < 3; ++c) {
+      if (survived != nullptr && c < survived->array.size()) {
+        row.survived[c] =
+            static_cast<std::uint64_t>(survived->array[c].integer);
       }
-      snap.classes.push_back(std::move(row));
-    }
-  }
-  if (const util::json::Value* matrix = root.find("matrix");
-      matrix != nullptr && matrix->is_array()) {
-    for (const util::json::Value& v : matrix->array) {
-      StudySnapshot::MatrixRow row;
-      row.mechanism = v.string_or("mechanism", "");
-      if (const util::json::Value* g = v.find("generic"); g != nullptr) {
-        row.generic = g->boolean;
+      if (total != nullptr && c < total->array.size()) {
+        row.total[c] = static_cast<std::uint64_t>(total->array[c].integer);
       }
-      const util::json::Value* survived = v.find("survived");
-      const util::json::Value* total = v.find("total");
-      for (std::size_t c = 0; c < 3; ++c) {
-        if (survived != nullptr && c < survived->array.size()) {
-          row.survived[c] =
-              static_cast<std::uint64_t>(survived->array[c].integer);
-        }
-        if (total != nullptr && c < total->array.size()) {
-          row.total[c] = static_cast<std::uint64_t>(total->array[c].integer);
-        }
-      }
-      row.vacuous = static_cast<std::uint64_t>(v.int_or("vacuous", 0));
-      row.state_losses =
-          static_cast<std::uint64_t>(v.int_or("state_losses", 0));
-      snap.matrix.push_back(std::move(row));
     }
+    row.vacuous = static_cast<std::uint64_t>(v.int_or("vacuous", 0));
+    row.state_losses = static_cast<std::uint64_t>(v.int_or("state_losses", 0));
+    snap.matrix.push_back(std::move(row));
   }
-  if (const util::json::Value* probes = root.find("probes");
-      probes != nullptr && probes->is_array()) {
-    for (const util::json::Value& v : probes->array) {
-      snap.probes.push_back({v.string_or("name", ""),
-                             static_cast<std::uint64_t>(v.int_or("hits", 0))});
-    }
+  for (const util::json::Value& v : root.find("probes")->array) {
+    snap.probes.push_back({v.string_or("name", ""),
+                           static_cast<std::uint64_t>(v.int_or("hits", 0))});
   }
-  if (const util::json::Value* specimens = root.find("specimens");
-      specimens != nullptr && specimens->is_array()) {
-    for (const util::json::Value& v : specimens->array) {
-      snap.specimens.push_back(
-          {v.string_or("fault_id", ""),
-           static_cast<std::uint64_t>(v.int_or("probes_hit", 0)),
-           static_cast<std::uint64_t>(v.int_or("trials", 0))});
-    }
+  for (const util::json::Value& v : root.find("specimens")->array) {
+    snap.specimens.push_back(
+        {v.string_or("fault_id", ""),
+         static_cast<std::uint64_t>(v.int_or("probes_hit", 0)),
+         static_cast<std::uint64_t>(v.int_or("trials", 0))});
   }
-  if (const util::json::Value* counters = root.find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const util::json::Value& v : counters->array) {
-      snap.counters.push_back(
-          {v.string_or("name", ""),
-           static_cast<std::uint64_t>(v.int_or("value", 0))});
-    }
+  for (const util::json::Value& v : root.find("counters")->array) {
+    snap.counters.push_back(
+        {v.string_or("name", ""),
+         static_cast<std::uint64_t>(v.int_or("value", 0))});
   }
   return snap;
 }
@@ -247,16 +262,18 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
           "'");
     return report;
   }
+  // Study identity: a snapshot of a different study is not comparable, so
+  // any change here is fatal rather than a difference to explain.
   if (baseline.seed != candidate.seed) {
-    note("study seed changed: " + std::to_string(baseline.seed) + " -> " +
+    fatal("study seed changed: " + std::to_string(baseline.seed) + " -> " +
          std::to_string(candidate.seed));
   }
   if (baseline.repeats != candidate.repeats) {
-    note("matrix repeats changed: " + std::to_string(baseline.repeats) +
+    fatal("matrix repeats changed: " + std::to_string(baseline.repeats) +
          " -> " + std::to_string(candidate.repeats));
   }
   if (baseline.trials != candidate.trials) {
-    note("trial count changed: " + std::to_string(baseline.trials) + " -> " +
+    fatal("trial count changed: " + std::to_string(baseline.trials) + " -> " +
          std::to_string(candidate.trials));
   }
 
@@ -266,7 +283,7 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
         candidate.probes.begin(), candidate.probes.end(),
         [&b](const auto& c) { return c.name == b.name; });
     if (it == candidate.probes.end()) {
-      if (b.hits > 0) fatal("probe disappeared: " + b.name);
+      fatal("probe disappeared: " + b.name);
       continue;
     }
     if (b.hits > 0 && it->hits == 0) {
@@ -283,7 +300,7 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
     const bool known = std::any_of(
         baseline.probes.begin(), baseline.probes.end(),
         [&c](const auto& b) { return b.name == c.name; });
-    if (!known) note("new probe: " + c.name);
+    if (!known) fatal("new probe: " + c.name);
   }
   if (candidate.cells_covered() < baseline.cells_covered()) {
     fatal("taxonomy cells covered fell: " +

@@ -1,17 +1,10 @@
-// Coverage-probe primitives: the compile-time gate, the probe site
-// enumeration, and the plain per-trial CoverageMap instrumented components
-// write into.
+// Coverage-probe primitives: the probe site enumeration and the plain
+// per-trial CoverageMap the trial event stream (obs/event.hpp) marks.
 //
 // A probe is the cheapest possible observation: "this branch ran". The atlas
 // layer (obs/atlas.hpp) folds per-trial maps into a study-wide coverage
-// atlas; this header is the hot-path half and follows the cost model of
-// telemetry/counters.hpp and forensics/recorder.hpp exactly:
-//
-//   * disabled at compile time (-DFAULTSTUDY_COVERAGE=OFF): every FS_COVER
-//     site expands to nothing — true zero overhead;
-//   * compiled in but no sink attached (the default at runtime): one
-//     predictable `ptr != nullptr` branch per site;
-//   * attached: one array-indexed increment into a preallocated slot.
+// atlas; this header is the hot-path half. With a map attached each probe
+// is one array-indexed increment into a preallocated slot.
 //
 // Determinism contract: a trial is single-threaded and owns its CoverageMap;
 // parallel sweeps give every matrix cell its own map in a per-index slot and
@@ -24,36 +17,6 @@
 #include <cstdint>
 
 #include "core/taxonomy.hpp"
-
-// CMake defines FAULTSTUDY_COVERAGE to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_COVERAGE
-#define FAULTSTUDY_COVERAGE 1
-#endif
-
-// Runs `expr` on the sink when coverage is compiled in and `sink` is
-// non-null: FS_COVER(coverage_, hit(obs::Site::kEnvFdDenied)). The sink
-// expression is evaluated exactly once.
-#if FAULTSTUDY_COVERAGE
-#define FS_COVER(sink, expr)              \
-  do {                                    \
-    if (auto* fs_cover_sink = (sink)) {   \
-      fs_cover_sink->expr;                \
-    }                                     \
-  } while (0)
-#else
-// Disabled: the site still type-checks (so both build modes stay honest)
-// but `if constexpr (false)` guarantees zero generated code, including the
-// evaluation of `sink`.
-#define FS_COVER(sink, expr)                \
-  do {                                      \
-    if constexpr (false) {                  \
-      if (auto* fs_cover_sink = (sink)) {   \
-        fs_cover_sink->expr;                \
-      }                                     \
-    }                                       \
-  } while (0)
-#endif
 
 namespace faultstudy::obs {
 

@@ -1,12 +1,5 @@
-// Telemetry hot-path primitives: the compile-time gate and the plain
-// per-trial counter structs that instrumented components write into.
-//
-// Two cost tiers, by design:
-//
-//   * disabled at compile time (-DFAULTSTUDY_TELEMETRY=OFF): every FS_TELEM
-//     site expands to nothing — true zero overhead;
-//   * compiled in but no sink attached (the default at runtime): one
-//     predictable `ptr != nullptr` branch per site, nothing else.
+// The plain per-trial counter struct the trial event stream writes into
+// (obs/event.hpp decides which event bumps which field).
 //
 // Everything in this header is a plain struct of integers. A trial is
 // single-threaded, so increments need no atomics; parallel sweeps give every
@@ -15,70 +8,15 @@
 // bit-identical across thread counts.
 #pragma once
 
-#include <cstddef>
+#include <array>
 #include <cstdint>
-
-// CMake defines FAULTSTUDY_TELEMETRY to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_TELEMETRY
-#define FAULTSTUDY_TELEMETRY 1
-#endif
-
-// Runs `expr` on the sink when telemetry is compiled in and `sink` is
-// non-null: FS_TELEM(e.counters(), resources.dns_lookups++). The sink
-// expression is evaluated exactly once.
-#if FAULTSTUDY_TELEMETRY
-#define FS_TELEM(sink, expr)                 \
-  do {                                       \
-    if (auto* fs_telem_sink = (sink)) {      \
-      fs_telem_sink->expr;                   \
-    }                                        \
-  } while (0)
-#else
-// Disabled: the site still type-checks (so both build modes stay honest)
-// but `if constexpr (false)` guarantees zero generated code, including the
-// evaluation of `sink`.
-#define FS_TELEM(sink, expr)              \
-  do {                                    \
-    if constexpr (false) {                \
-      if (auto* fs_telem_sink = (sink)) { \
-        fs_telem_sink->expr;              \
-      }                                   \
-    }                                     \
-  } while (0)
-#endif
-
-// Raises a high-watermark field: FS_TELEM_PEAK(counters, peak_fds, used()).
-#if FAULTSTUDY_TELEMETRY
-#define FS_TELEM_PEAK(sink, field, value)                            \
-  do {                                                               \
-    if (auto* fs_telem_sink = (sink)) {                              \
-      const auto fs_telem_value = static_cast<std::uint64_t>(value); \
-      if (fs_telem_value > fs_telem_sink->field) {                   \
-        fs_telem_sink->field = fs_telem_value;                       \
-      }                                                              \
-    }                                                                \
-  } while (0)
-#else
-#define FS_TELEM_PEAK(sink, field, value)                            \
-  do {                                                               \
-    if constexpr (false) {                                           \
-      if (auto* fs_telem_sink = (sink)) {                            \
-        const auto fs_telem_value = static_cast<std::uint64_t>(value); \
-        if (fs_telem_value > fs_telem_sink->field) {                 \
-          fs_telem_sink->field = fs_telem_value;                     \
-        }                                                            \
-      }                                                              \
-    }                                                                \
-  } while (0)
-#endif
+#include <string_view>
 
 namespace faultstudy::telemetry {
 
-/// What the simulated environment's resources did during one trial. Each
-/// subsystem holds a pointer to this struct (bound by
-/// env::Environment::set_counters) and bumps its own fields.
-struct ResourceCounters {
+/// What the simulated environment, the application, and the recovery
+/// machinery did during one trial.
+struct TrialCounters {
   // Process table.
   std::uint64_t proc_spawns = 0;
   std::uint64_t proc_spawn_failures = 0;  ///< table full
@@ -113,15 +51,16 @@ struct ResourceCounters {
   std::uint64_t entropy_reads = 0;
   std::uint64_t entropy_blocked = 0;  ///< read wanted more bits than held
   std::uint64_t entropy_bits_taken = 0;
-};
-
-/// What the recovery machinery did during one trial. The trial runner
-/// counts attempts/outcomes; mechanisms bump their own specifics through
-/// env::Environment::counters().
-struct RecoveryCounters {
-  std::uint64_t attempts = 0;
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
+  // Application.
+  std::uint64_t requests_served = 0;  ///< web server
+  std::uint64_t cache_fills = 0;
+  std::uint64_t cgi_children = 0;
+  std::uint64_t queries_ok = 0;  ///< database
+  std::uint64_t ui_events = 0;   ///< desktop
+  // Recovery.
+  std::uint64_t recovery_attempts = 0;
+  std::uint64_t recovery_successes = 0;
+  std::uint64_t recovery_failures = 0;
   std::uint64_t items_rewound = 0;  ///< rollback depth, summed over recoveries
   std::uint64_t checkpoints = 0;
   std::uint64_t failovers = 0;            ///< process-pairs backup promotions
@@ -131,30 +70,74 @@ struct RecoveryCounters {
   std::uint64_t retries_sanitized = 0;  ///< wrapper rejected a killer input
 };
 
-/// What the simulated application did during one trial, beyond the
-/// harness-level outcome fields.
-struct AppCounters {
-  std::uint64_t requests_served = 0;  ///< web server
-  std::uint64_t cache_fills = 0;
-  std::uint64_t cgi_children = 0;
-  std::uint64_t queries_ok = 0;  ///< database
-  std::uint64_t ui_events = 0;   ///< desktop
+/// How a counter folds across trials and into the metrics registry.
+enum class CounterKind : std::uint8_t {
+  kSum,           ///< summed; registry counter under its own name
+  kPeak,          ///< high watermark; registry gauge under its own name
+  kMechanismSum,  ///< summed; registry counter under recovery/<mechanism>/
 };
 
-/// The per-trial counter sink the environment hands out to everything it
-/// hosts. env::Environment::set_counters(&trial_telemetry.counters) binds
-/// the resource block into every subsystem and exposes the whole struct to
-/// apps and mechanisms.
-struct TrialCounters {
-  ResourceCounters resources;
-  RecoveryCounters recovery;
-  AppCounters app;
+struct CounterInfo {
+  std::uint64_t TrialCounters::*field;
+  std::string_view name;
+  CounterKind kind;
 };
 
-/// Field-wise sum (for folding repeat trials of one matrix cell together).
-void merge(ResourceCounters& into, const ResourceCounters& from) noexcept;
-void merge(RecoveryCounters& into, const RecoveryCounters& from) noexcept;
-void merge(AppCounters& into, const AppCounters& from) noexcept;
+/// Every TrialCounters field with its registry name, in declaration order.
+inline constexpr auto kCounterInfo = [] {
+  using C = TrialCounters;
+  using enum CounterKind;
+  return std::to_array<CounterInfo>({
+      {&C::proc_spawns, "env/proc/spawns", kSum},
+      {&C::proc_spawn_failures, "env/proc/spawn_failures", kSum},
+      {&C::proc_kills, "env/proc/kills", kSum},
+      {&C::procs_marked_hung, "env/proc/marked_hung", kSum},
+      {&C::peak_procs, "env/proc/peak", kPeak},
+      {&C::fds_acquired, "env/fd/acquired", kSum},
+      {&C::fd_acquire_failures, "env/fd/acquire_failures", kSum},
+      {&C::fds_released, "env/fd/released", kSum},
+      {&C::peak_fds, "env/fd/peak", kPeak},
+      {&C::disk_writes, "env/disk/writes", kSum},
+      {&C::disk_bytes_written, "env/disk/bytes_written", kSum},
+      {&C::disk_write_failures, "env/disk/write_failures", kSum},
+      {&C::disk_truncates, "env/disk/truncates", kSum},
+      {&C::peak_disk_used, "env/disk/peak_used", kPeak},
+      {&C::dns_lookups, "env/dns/lookups", kSum},
+      {&C::dns_errors, "env/dns/errors", kSum},
+      {&C::dns_slow_replies, "env/dns/slow_replies", kSum},
+      {&C::dns_reverse_misses, "env/dns/reverse_misses", kSum},
+      {&C::port_binds, "env/net/port_binds", kSum},
+      {&C::port_bind_failures, "env/net/port_bind_failures", kSum},
+      {&C::ports_released, "env/net/ports_released", kSum},
+      {&C::kernel_resource_denied, "env/net/kernel_resource_denied", kSum},
+      {&C::sched_draws, "env/sched/draws", kSum},
+      {&C::sched_replays, "env/sched/replays", kSum},
+      {&C::entropy_reads, "env/entropy/reads", kSum},
+      {&C::entropy_blocked, "env/entropy/blocked", kSum},
+      {&C::entropy_bits_taken, "env/entropy/bits_taken", kSum},
+      {&C::requests_served, "app/requests_served", kSum},
+      {&C::cache_fills, "app/cache_fills", kSum},
+      {&C::cgi_children, "app/cgi_children", kSum},
+      {&C::queries_ok, "app/queries_ok", kSum},
+      {&C::ui_events, "app/ui_events", kSum},
+      {&C::recovery_attempts, "attempts", kMechanismSum},
+      {&C::recovery_successes, "successes", kMechanismSum},
+      {&C::recovery_failures, "failures", kMechanismSum},
+      {&C::items_rewound, "items_rewound", kMechanismSum},
+      {&C::checkpoints, "checkpoints", kMechanismSum},
+      {&C::failovers, "failovers", kMechanismSum},
+      {&C::cold_restarts, "cold_restarts", kMechanismSum},
+      {&C::rejuvenation_cycles, "rejuvenation_cycles", kMechanismSum},
+      {&C::proactive_rejuvenations, "proactive_rejuvenations", kMechanismSum},
+      {&C::retries_sanitized, "retries_sanitized", kMechanismSum},
+  });
+}();
+static_assert(kCounterInfo.size() ==
+                  sizeof(TrialCounters) / sizeof(std::uint64_t),
+              "every TrialCounters field needs a kCounterInfo row");
+
+/// Field-wise fold (for folding repeat trials of one matrix cell together):
+/// sums add, peaks keep the maximum.
 void merge(TrialCounters& into, const TrialCounters& from) noexcept;
 
 }  // namespace faultstudy::telemetry

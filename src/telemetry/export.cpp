@@ -1,37 +1,13 @@
 #include "telemetry/export.hpp"
 
-#include <cstdio>
+#include "util/json.hpp"
 
 namespace faultstudy::telemetry {
 namespace {
 
 void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out += util::json::escape(text);
   out.push_back('"');
 }
 

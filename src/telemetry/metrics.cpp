@@ -179,61 +179,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void merge(ResourceCounters& into, const ResourceCounters& from) noexcept {
-  into.proc_spawns += from.proc_spawns;
-  into.proc_spawn_failures += from.proc_spawn_failures;
-  into.proc_kills += from.proc_kills;
-  into.procs_marked_hung += from.procs_marked_hung;
-  into.peak_procs = std::max(into.peak_procs, from.peak_procs);
-  into.fds_acquired += from.fds_acquired;
-  into.fd_acquire_failures += from.fd_acquire_failures;
-  into.fds_released += from.fds_released;
-  into.peak_fds = std::max(into.peak_fds, from.peak_fds);
-  into.disk_writes += from.disk_writes;
-  into.disk_bytes_written += from.disk_bytes_written;
-  into.disk_write_failures += from.disk_write_failures;
-  into.disk_truncates += from.disk_truncates;
-  into.peak_disk_used = std::max(into.peak_disk_used, from.peak_disk_used);
-  into.dns_lookups += from.dns_lookups;
-  into.dns_errors += from.dns_errors;
-  into.dns_slow_replies += from.dns_slow_replies;
-  into.dns_reverse_misses += from.dns_reverse_misses;
-  into.port_binds += from.port_binds;
-  into.port_bind_failures += from.port_bind_failures;
-  into.ports_released += from.ports_released;
-  into.kernel_resource_denied += from.kernel_resource_denied;
-  into.sched_draws += from.sched_draws;
-  into.sched_replays += from.sched_replays;
-  into.entropy_reads += from.entropy_reads;
-  into.entropy_blocked += from.entropy_blocked;
-  into.entropy_bits_taken += from.entropy_bits_taken;
-}
-
-void merge(RecoveryCounters& into, const RecoveryCounters& from) noexcept {
-  into.attempts += from.attempts;
-  into.successes += from.successes;
-  into.failures += from.failures;
-  into.items_rewound += from.items_rewound;
-  into.checkpoints += from.checkpoints;
-  into.failovers += from.failovers;
-  into.cold_restarts += from.cold_restarts;
-  into.rejuvenation_cycles += from.rejuvenation_cycles;
-  into.proactive_rejuvenations += from.proactive_rejuvenations;
-  into.retries_sanitized += from.retries_sanitized;
-}
-
-void merge(AppCounters& into, const AppCounters& from) noexcept {
-  into.requests_served += from.requests_served;
-  into.cache_fills += from.cache_fills;
-  into.cgi_children += from.cgi_children;
-  into.queries_ok += from.queries_ok;
-  into.ui_events += from.ui_events;
-}
-
 void merge(TrialCounters& into, const TrialCounters& from) noexcept {
-  merge(into.resources, from.resources);
-  merge(into.recovery, from.recovery);
-  merge(into.app, from.app);
+  for (const CounterInfo& info : kCounterInfo) {
+    std::uint64_t& value = into.*info.field;
+    value = info.kind == CounterKind::kPeak
+                ? std::max(value, from.*info.field)
+                : value + from.*info.field;
+  }
 }
 
 }  // namespace faultstudy::telemetry

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "env/clock.hpp"
-#include "telemetry/counters.hpp"
 
 namespace faultstudy::telemetry {
 
@@ -102,13 +101,9 @@ class SpanScope {
 #define FS_TELEM_CAT(a, b) FS_TELEM_CAT2(a, b)
 
 // TELEM_SPAN(tracer_ptr, "recovery/rollback"): scoped span tied to the
-// enclosing block. Compiles to a void cast when telemetry is off.
-#if FAULTSTUDY_TELEMETRY
-#define TELEM_SPAN(tracer, name)                               \
-  ::faultstudy::telemetry::SpanScope FS_TELEM_CAT(             \
+// enclosing block.
+#define TELEM_SPAN(tracer, name)                   \
+  ::faultstudy::telemetry::SpanScope FS_TELEM_CAT( \
       fs_telem_span_, __LINE__)((tracer), (name))
-#else
-#define TELEM_SPAN(tracer, name) static_cast<void>(tracer)
-#endif
 
 }  // namespace faultstudy::telemetry

@@ -21,6 +21,12 @@ TrialTelemetry::TrialTelemetry()
     : recovery_latency_ticks(default_tick_bounds()),
       item_latency_ticks(default_tick_bounds()) {}
 
+void merge(TrialTelemetry& into, const TrialTelemetry& from) {
+  merge(into.counters, from.counters);
+  into.recovery_latency_ticks.merge(from.recovery_latency_ticks);
+  into.item_latency_ticks.merge(from.item_latency_ticks);
+}
+
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry, std::size_t shard) {
   const auto add = [&](std::string_view name, std::uint64_t n) {
@@ -31,57 +37,17 @@ void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                   shard);
   };
 
-  const ResourceCounters& r = trial.counters.resources;
-  add("env/proc/spawns", r.proc_spawns);
-  add("env/proc/spawn_failures", r.proc_spawn_failures);
-  add("env/proc/kills", r.proc_kills);
-  add("env/proc/marked_hung", r.procs_marked_hung);
-  peak("env/proc/peak", r.peak_procs);
-  add("env/fd/acquired", r.fds_acquired);
-  add("env/fd/acquire_failures", r.fd_acquire_failures);
-  add("env/fd/released", r.fds_released);
-  peak("env/fd/peak", r.peak_fds);
-  add("env/disk/writes", r.disk_writes);
-  add("env/disk/bytes_written", r.disk_bytes_written);
-  add("env/disk/write_failures", r.disk_write_failures);
-  add("env/disk/truncates", r.disk_truncates);
-  peak("env/disk/peak_used", r.peak_disk_used);
-  add("env/dns/lookups", r.dns_lookups);
-  add("env/dns/errors", r.dns_errors);
-  add("env/dns/slow_replies", r.dns_slow_replies);
-  add("env/dns/reverse_misses", r.dns_reverse_misses);
-  add("env/net/port_binds", r.port_binds);
-  add("env/net/port_bind_failures", r.port_bind_failures);
-  add("env/net/ports_released", r.ports_released);
-  add("env/net/kernel_resource_denied", r.kernel_resource_denied);
-  add("env/sched/draws", r.sched_draws);
-  add("env/sched/replays", r.sched_replays);
-  add("env/entropy/reads", r.entropy_reads);
-  add("env/entropy/blocked", r.entropy_blocked);
-  add("env/entropy/bits_taken", r.entropy_bits_taken);
-
-  const AppCounters& a = trial.counters.app;
-  add("app/requests_served", a.requests_served);
-  add("app/cache_fills", a.cache_fills);
-  add("app/cgi_children", a.cgi_children);
-  add("app/queries_ok", a.queries_ok);
-  add("app/ui_events", a.ui_events);
-
   const std::string mech(mechanism.empty() ? "trial" : mechanism);
-  const RecoveryCounters& c = trial.counters.recovery;
-  const auto rec = [&](std::string_view name, std::uint64_t n) {
-    add(joined("recovery/" + mech, name), n);
-  };
-  rec("attempts", c.attempts);
-  rec("successes", c.successes);
-  rec("failures", c.failures);
-  rec("items_rewound", c.items_rewound);
-  rec("checkpoints", c.checkpoints);
-  rec("failovers", c.failovers);
-  rec("cold_restarts", c.cold_restarts);
-  rec("rejuvenation_cycles", c.rejuvenation_cycles);
-  rec("proactive_rejuvenations", c.proactive_rejuvenations);
-  rec("retries_sanitized", c.retries_sanitized);
+  for (const CounterInfo& info : kCounterInfo) {
+    const std::uint64_t value = trial.counters.*info.field;
+    switch (info.kind) {
+      case CounterKind::kSum: add(info.name, value); break;
+      case CounterKind::kPeak: peak(info.name, value); break;
+      case CounterKind::kMechanismSum:
+        add(joined("recovery/" + mech, info.name), value);
+        break;
+    }
+  }
 
   if (!trial.recovery_latency_ticks.empty()) {
     const HistogramId id =
@@ -146,9 +112,9 @@ void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
 
 void StudyTelemetry::fold_trial(std::string_view mechanism,
                                 std::string_view trace_label,
-                                TrialTelemetry&& trial, bool keep_trace) {
+                                TrialTelemetry&& trial) {
   fold_into(trial, mechanism, metrics);
-  if (keep_trace && !trial.spans.empty()) {
+  if (!trial.spans.empty()) {
     traces.emplace_back(std::string(trace_label), std::move(trial.spans));
   }
 }

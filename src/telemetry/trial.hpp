@@ -31,6 +31,10 @@ struct TrialTelemetry {
   SpanTracer spans;                  ///< sim domain
 };
 
+/// Folds `from`'s counters and tick histograms into `into` (repeat trials of
+/// one matrix cell); spans are not merged.
+void merge(TrialTelemetry& into, const TrialTelemetry& from);
+
 /// Registers and bumps registry metrics from one trial's aggregates, writing
 /// into `shard`. Resource and app counters fold into global `env/...` and
 /// `app/...` metrics; recovery counters and latency histograms fold under
@@ -46,11 +50,10 @@ struct StudyTelemetry {
   MetricsRegistry metrics;
   std::vector<std::pair<std::string, SpanTracer>> traces;
 
-  /// Folds one trial. `trace_label` names the trace thread in the Chrome
-  /// export (e.g. "rollback_retry/web-fd-leak"); pass keep_trace = false to
-  /// fold metrics only.
+  /// Folds one trial's metrics and keeps its trace; `trace_label` names the
+  /// trace thread in the Chrome export (e.g. "rollback_retry/web-fd-leak").
   void fold_trial(std::string_view mechanism, std::string_view trace_label,
-                  TrialTelemetry&& trial, bool keep_trace);
+                  TrialTelemetry&& trial);
 };
 
 /// Wall-domain self-profile of a mining pipeline run: steady-clock stage

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -189,6 +190,7 @@ class Parser {
     out.kind = Value::Kind::kNumber;
     out.number = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || *end != '\0') return fail("malformed number");
+    if (!std::isfinite(out.number)) return fail("number out of range");
     if (!fractional) {
       out.integer = std::strtoll(token.c_str(), nullptr, 10);
       out.is_integer = true;

@@ -43,7 +43,8 @@ std::vector<analysis::RaceReport> analyze_trial(const std::string& fault_id,
   harness::TrialConfig config;
   config.seed = seed;
   harness::TrialObservation observation;
-  harness::run_trial(plan, mechanism, config, &observation);
+  harness::run_trial(plan, mechanism, config,
+                     {.observation = &observation});
   if (trace_events != nullptr) *trace_events = observation.trace.size();
   RaceDetector detector;
   return detector.analyze(std::span<const TraceEvent>(observation.trace));
@@ -303,7 +304,7 @@ TEST(SpecimenRaceTest, UntracedTrialUnperturbed) {
     recovery::RollbackRetry traced;
     harness::TrialObservation observation;
     const auto observed =
-        harness::run_trial(plan, traced, config, &observation);
+        harness::run_trial(plan, traced, config, {.observation = &observation});
     EXPECT_EQ(plain.survived, observed.survived) << fault_id;
     EXPECT_EQ(plain.failures, observed.failures) << fault_id;
     EXPECT_EQ(plain.recoveries, observed.recoveries) << fault_id;
@@ -401,7 +402,7 @@ TEST(InvariantCheckerTest, TracedLeakTrialFlagsFdLeak) {
   const auto plan = inject::plan_for(find_seed("apache-edn-02"), 13);
   recovery::RollbackRetry mechanism;
   harness::TrialObservation observation;
-  harness::run_trial(plan, mechanism, {}, &observation);
+  harness::run_trial(plan, mechanism, {}, {.observation = &observation});
   const auto violations = analysis::check_transcript(observation.transcript);
   bool fd_leak = false;
   for (const auto& v : violations) {

@@ -14,6 +14,7 @@
 #include "forensics/recorder.hpp"
 #include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
+#include "obs/event.hpp"
 
 namespace faultstudy {
 namespace {
@@ -83,24 +84,25 @@ TEST(FlightRecorder, ClearResetsWithoutReallocating) {
   EXPECT_EQ(ring.capacity(), 8u);
 }
 
-#if FAULTSTUDY_FORENSICS
-TEST(ForensicMacro, NullSinkIsANoOp) {
+TEST(EventStream, RingTakesOnlyFlightEvents) {
   FlightRecorder ring;
-  FlightRecorder* sink = nullptr;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
+  obs::TrialObservers observers{nullptr, &ring, nullptr};
+  obs::emit(nullptr, obs::Event::kCheckpoint);
   EXPECT_TRUE(ring.empty());
-  sink = &ring;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
-  EXPECT_EQ(ring.size(), 1u);
-}
-#else
-TEST(ForensicMacro, CompilesOutEntirely) {
-  FlightRecorder ring;
-  FlightRecorder* sink = &ring;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
+  // Counter-only events never enter the ring, so they cannot push the
+  // transitions a post-mortem reads out of its fixed window.
+  obs::emit(&observers, obs::Event::kSchedDraw);
+  obs::emit(&observers, obs::Event::kDnsLookup);
+  obs::emit(&observers, obs::Event::kItemDone, 3);
   EXPECT_TRUE(ring.empty());
+  obs::emit(&observers, obs::Event::kCheckpoint);
+  obs::emit(&observers, obs::Event::kProactiveRejuvenation, 1);
+  const auto events = ring.chronological();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].code, FlightCode::kCheckpoint);
+  EXPECT_EQ(events[1].code, FlightCode::kRejuvenation);
+  EXPECT_EQ(events[1].a, 1u);
 }
-#endif
 
 // --- causal-chain reconstruction ------------------------------------------
 
@@ -146,9 +148,6 @@ TEST(PostMortem, DirectFailureHasNoResourcePrelude) {
   EXPECT_EQ(pm.propagation, FlightCode::kCount);
 }
 
-// Trial-runner integration only exists when the layer is compiled in; the
-// pure reconstruction and triage tests above run either way.
-#if FAULTSTUDY_FORENSICS
 TEST(PostMortem, KnownSpecimenReconstructsFullChain) {
   // apache-ei-01 is environment-independent: cold-restart retries the same
   // poisoned input until the per-item cap, deterministically failing.
@@ -157,7 +156,7 @@ TEST(PostMortem, KnownSpecimenReconstructsFullChain) {
   auto mechanism = mechanism_by_name("cold-restart")();
   forensics::TrialForensics forens;
   const auto outcome =
-      harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, &forens);
+      harness::run_trial(plan, *mechanism, {}, {.forensics = &forens});
 
   ASSERT_FALSE(outcome.survived);
   ASSERT_TRUE(forens.postmortem.has_value());
@@ -186,8 +185,9 @@ TEST(PostMortem, TracedSpecimenCarriesDetectorVerdicts) {
   auto mechanism = mechanism_by_name("cold-restart")();
   harness::TrialObservation observation;
   forensics::TrialForensics forens;
-  const auto outcome = harness::run_trial(plan, *mechanism, {}, &observation,
-                                          nullptr, &forens);
+  const auto outcome = harness::run_trial(
+      plan, *mechanism, {},
+      {.observation = &observation, .forensics = &forens});
   ASSERT_FALSE(outcome.survived);
   ASSERT_TRUE(forens.postmortem.has_value());
   EXPECT_TRUE(forens.postmortem->analyzed);
@@ -201,12 +201,11 @@ TEST(PostMortem, SurvivorProducesNoPostMortem) {
   auto mechanism = mechanism_by_name("cold-restart")();
   forensics::TrialForensics forens;
   const auto outcome =
-      harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, &forens);
+      harness::run_trial(plan, *mechanism, {}, {.forensics = &forens});
   EXPECT_TRUE(outcome.survived);
   EXPECT_FALSE(forens.postmortem.has_value());
   EXPECT_FALSE(forens.ring.empty());
 }
-#endif  // FAULTSTUDY_FORENSICS
 
 TEST(StudyForensics, FoldCountsSurvivorsWithoutRecords) {
   forensics::StudyForensics study;
@@ -225,7 +224,6 @@ TEST(StudyForensics, FoldCountsSurvivorsWithoutRecords) {
 
 // --- full-corpus determinism ----------------------------------------------
 
-#if FAULTSTUDY_FORENSICS
 struct MatrixRun {
   harness::MatrixResult matrix;
   forensics::StudyForensics study;
@@ -273,7 +271,6 @@ TEST(StudyForensics, FullCorpusPostMortemsAreLaneIdentical) {
             forensics::render_explorer_html(wide.study, clusters_wide, rows,
                                             "t"));
 }
-#endif  // FAULTSTUDY_FORENSICS
 
 // --- triage ---------------------------------------------------------------
 

@@ -10,6 +10,7 @@
 #include "harness/experiment.hpp"
 #include "obs/atlas.hpp"
 #include "obs/baseline.hpp"
+#include "obs/event.hpp"
 #include "obs/export.hpp"
 #include "obs/probes.hpp"
 #include "telemetry/metrics.hpp"
@@ -74,19 +75,44 @@ TEST(CoverageProbes, TrialRecordsProbesWhenCompiledIn) {
   const auto plan = inject::plan_for(seeds[0], 42);
   auto mechanism = harness::standard_mechanisms()[0].make();
   obs::CoverageMap map;
-  (void)harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, nullptr,
-                           &map);
-#if FAULTSTUDY_COVERAGE
+  (void)harness::run_trial(plan, *mechanism, {}, {.coverage = &map});
   // The trial must at least arm its trigger, start the app, attach the
   // mechanism, and reach a verdict.
   EXPECT_GT(map.count_inject(seeds[0].trigger), 0u);
   EXPECT_GT(map.count(obs::Site::kAppStarted), 0u);
   EXPECT_GT(map.count(obs::Site::kRecAttach), 0u);
-#else
-  // Compile-out check: with FAULTSTUDY_COVERAGE=OFF every FS_COVER site
-  // expands to nothing, so an attached sink stays empty.
-  EXPECT_TRUE(map.empty());
-#endif
+}
+
+TEST(EventStream, TableReachesEveryProbeAndFlightCode) {
+  // The event table is the only way into the coverage map and the flight
+  // ring, so every structural probe and every flight code must be named by
+  // some event — otherwise the atlas would report a blind spot no trial
+  // can ever light up.
+  std::vector<bool> site(obs::kNumSites, false);
+  std::vector<bool> code(
+      static_cast<std::size_t>(forensics::FlightCode::kCount), false);
+  for (std::size_t e = 0; e < static_cast<std::size_t>(obs::Event::kCount);
+       ++e) {
+    const obs::EventRule r = obs::rule(static_cast<obs::Event>(e));
+    if (r.site != obs::Site::kCount) {
+      site[static_cast<std::size_t>(r.site)] = true;
+    }
+    if (r.flight != forensics::FlightCode::kCount) {
+      code[static_cast<std::size_t>(r.flight)] = true;
+    }
+  }
+  // kVerdict marks the verdict probes by operand.
+  for (std::size_t v = 0;
+       v < static_cast<std::size_t>(forensics::TrialVerdict::kCount); ++v) {
+    site[static_cast<std::size_t>(obs::Site::kTrialSurvived) + v] = true;
+  }
+  for (std::size_t i = 0; i < site.size(); ++i) {
+    EXPECT_TRUE(site[i]) << obs::site_name(static_cast<obs::Site>(i));
+  }
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    EXPECT_TRUE(code[i]) << forensics::to_string(
+        static_cast<forensics::FlightCode>(i));
+  }
 }
 
 // --- atlas fold determinism ------------------------------------------------
@@ -168,7 +194,6 @@ TEST(CoverageAtlas, FullMatrixLeavesNoStructuralEnvBlindSpotsUnexpected) {
   config.threads = 0;
   (void)harness::run_matrix(seeds, mechanisms, config, 3, nullptr, nullptr,
                             &atlas);
-#if FAULTSTUDY_COVERAGE
   // Every trigger recipe in the corpus must arm at least once: the inject
   // plane covers every taxonomy cell the corpus names.
   const std::size_t inject_hits = atlas.cells_covered();
@@ -186,12 +211,24 @@ TEST(CoverageAtlas, FullMatrixLeavesNoStructuralEnvBlindSpotsUnexpected) {
   EXPECT_GT(atlas.totals().count(obs::Site::kAppStarted), 0u);
   EXPECT_GT(atlas.totals().count(obs::Site::kRecAttach), 0u);
   EXPECT_GT(atlas.totals().count(obs::Site::kTrialSurvived), 0u);
-#else
-  EXPECT_EQ(atlas.probes_hit(), 0u);
-#endif
 }
 
 // --- baseline round-trip and drift ----------------------------------------
+
+/// Canonical snapshot JSON (one top-level member per two-space-indented
+/// line) without the top-level member `key`, still well-formed.
+std::string without_member(std::string text, const std::string& key) {
+  const std::size_t start = text.find("\n  \"" + key + "\":");
+  const std::size_t next = text.find("\n  \"", start + 1);
+  if (next != std::string::npos) {
+    text.erase(start, next - start);
+  } else {
+    // The last member: also drop the comma that ended the one before it.
+    const std::size_t comma = text.rfind(',', start);
+    text.erase(comma, text.rfind("\n}") - comma);
+  }
+  return text;
+}
 
 class BaselineTest : public ::testing::Test {
  protected:
@@ -244,13 +281,6 @@ TEST_F(BaselineTest, LostCoverageIsFatalDrift) {
       break;
     }
   }
-  if (!diverged) {
-    // Probes compiled out: every row is zero-hit, so grant the baseline a
-    // hit instead — the same drift, coverage the candidate lost.
-    ASSERT_FALSE(baseline.probes.empty());
-    baseline.probes[0].hits = 7;
-    diverged = true;
-  }
   ASSERT_TRUE(diverged);
   // Candidate lost coverage the baseline had -> fatal.
   const auto drift = obs::diff(baseline, perturbed);
@@ -285,6 +315,57 @@ TEST_F(BaselineTest, SurvivalRateShiftBeyondToleranceIsFatal) {
   base_row.survived[0] = 10;
   const auto drift = obs::diff(snapshot_, perturbed);
   EXPECT_TRUE(drift.regressed()) << obs::render_text(drift);
+}
+
+TEST_F(BaselineTest, ParseRequiresEverySection) {
+  // The truncated document the drift gate once accepted as "0 fatal".
+  EXPECT_FALSE(
+      obs::parse_snapshot("{\"schema\": \"faultstudy-baseline/1\"}").ok());
+  const std::string full = obs::to_json(snapshot_);
+  ASSERT_TRUE(obs::parse_snapshot(full).ok());
+  for (const char* key : {"seed", "repeats", "trials", "classes", "matrix",
+                          "probes", "specimens", "counters"}) {
+    const std::string text = without_member(full, key);
+    ASSERT_TRUE(util::json::parse(text).ok()) << key;
+    EXPECT_FALSE(obs::parse_snapshot(text).ok())
+        << "accepted a snapshot without " << key;
+  }
+}
+
+TEST_F(BaselineTest, ParseRejectsUnknownKeys) {
+  std::string text = obs::to_json(snapshot_);
+  text.insert(text.find('{') + 1, "\"tolerance\": 1,");
+  EXPECT_FALSE(obs::parse_snapshot(text).ok());
+}
+
+TEST_F(BaselineTest, SeedChangeIsFatal) {
+  obs::StudySnapshot other = snapshot_;
+  other.seed += 1;
+  EXPECT_TRUE(obs::diff(snapshot_, other).regressed());
+}
+
+TEST_F(BaselineTest, RepeatCountChangeIsFatal) {
+  obs::StudySnapshot other = snapshot_;
+  other.repeats += 1;
+  EXPECT_TRUE(obs::diff(snapshot_, other).regressed());
+}
+
+TEST_F(BaselineTest, TrialCountChangeIsFatal) {
+  obs::StudySnapshot other = snapshot_;
+  other.trials = 1;
+  EXPECT_TRUE(obs::diff(snapshot_, other).regressed());
+}
+
+TEST_F(BaselineTest, ProbeUniverseChangeIsFatal) {
+  // A zero-hit probe vanishing or appearing changes what "blind spot"
+  // means, so the universe itself is part of the study's identity.
+  obs::StudySnapshot shrunk = snapshot_;
+  const auto blind = std::find_if(shrunk.probes.begin(), shrunk.probes.end(),
+                                  [](const auto& p) { return p.hits == 0; });
+  ASSERT_NE(blind, shrunk.probes.end());
+  shrunk.probes.erase(blind);
+  EXPECT_TRUE(obs::diff(snapshot_, shrunk).regressed());
+  EXPECT_TRUE(obs::diff(shrunk, snapshot_).regressed());
 }
 
 TEST_F(BaselineTest, CounterDeltaIsANote) {
@@ -374,6 +455,11 @@ TEST(UtilJson, RejectsMalformedDocuments) {
   EXPECT_FALSE(util::json::parse("[1, 2,]").ok());
   EXPECT_FALSE(util::json::parse("{} trailing").ok());
   EXPECT_FALSE(util::json::parse("\"unterminated").ok());
+  // Non-finite numbers are not JSON: an overflowing exponent must not
+  // parse to infinity.
+  EXPECT_FALSE(util::json::parse("1e999999").ok());
+  EXPECT_FALSE(util::json::parse("[-1e999999]").ok());
+  EXPECT_TRUE(util::json::parse("1e300").ok());
 }
 
 TEST(UtilJson, EscapeRoundTripsThroughParse) {

@@ -17,6 +17,7 @@
 #include "env/clock.hpp"
 #include "harness/experiment.hpp"
 #include "mining/pipeline.hpp"
+#include "obs/event.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -124,15 +125,15 @@ TEST(MetricsRegistry, MergeFromUnionsByName) {
 TEST(Counters, MergeSumsCountersAndMaxesPeaks) {
   telemetry::TrialCounters a;
   telemetry::TrialCounters b;
-  a.resources.proc_spawns = 2;
-  a.resources.peak_procs = 5;
-  b.resources.proc_spawns = 3;
-  b.resources.peak_procs = 4;
-  b.recovery.attempts = 1;
+  a.proc_spawns = 2;
+  a.peak_procs = 5;
+  b.proc_spawns = 3;
+  b.peak_procs = 4;
+  b.recovery_attempts = 1;
   merge(a, b);
-  EXPECT_EQ(a.resources.proc_spawns, 5u);
-  EXPECT_EQ(a.resources.peak_procs, 5u);
-  EXPECT_EQ(a.recovery.attempts, 1u);
+  EXPECT_EQ(a.proc_spawns, 5u);
+  EXPECT_EQ(a.peak_procs, 5u);
+  EXPECT_EQ(a.recovery_attempts, 1u);
 }
 
 // --- spans ----------------------------------------------------------------
@@ -168,20 +169,22 @@ TEST(SpanTracer, UnboundTracerRecordsNothing) {
   { telemetry::SpanScope null_scope(nullptr, "also ignored"); }
 }
 
-#if FAULTSTUDY_TELEMETRY
-TEST(TelemetryMacros, NullSinkIsANoOp) {
-  telemetry::TrialCounters counters;
-  telemetry::TrialCounters* sink = nullptr;
-  FS_TELEM(sink, resources.proc_spawns++);
-  EXPECT_EQ(counters.resources.proc_spawns, 0u);
-  sink = &counters;
-  FS_TELEM(sink, resources.proc_spawns++);
-  EXPECT_EQ(counters.resources.proc_spawns, 1u);
-  FS_TELEM_PEAK(&counters.resources, peak_procs, 9);
-  FS_TELEM_PEAK(&counters.resources, peak_procs, 3);
-  EXPECT_EQ(counters.resources.peak_procs, 9u);
+TEST(EventStream, NullSinkIsANoOp) {
+  telemetry::TrialTelemetry telem;
+  obs::TrialObservers observers{&telem, nullptr, nullptr};
+  obs::emit(nullptr, obs::Event::kProcSpawned, 0, 4);
+  EXPECT_EQ(telem.counters.proc_spawns, 0u);
+  // One event: +1 on its count field, `b` lifts its high watermark.
+  obs::emit(&observers, obs::Event::kProcSpawned, 0, 9);
+  obs::emit(&observers, obs::Event::kProcSpawned, 0, 3);
+  EXPECT_EQ(telem.counters.proc_spawns, 2u);
+  EXPECT_EQ(telem.counters.peak_procs, 9u);
+  // `a` feeds += fields and tick histograms.
+  obs::emit(&observers, obs::Event::kFdAcquired, 5, 5);
+  EXPECT_EQ(telem.counters.fds_acquired, 5u);
+  obs::emit(&observers, obs::Event::kItemDone, 7);
+  EXPECT_EQ(telem.item_latency_ticks.count(), 1u);
 }
-#endif
 
 // --- exporters ------------------------------------------------------------
 
@@ -306,7 +309,6 @@ TEST(PoolStats, AmbientSinkProfilesTransientPools) {
 
 // --- determinism ----------------------------------------------------------
 
-#if FAULTSTUDY_TELEMETRY
 TEST(TelemetryDeterminism, InstrumentedTrialMatchesItselfAndCounts) {
   const auto seeds = corpus::all_seeds();
   ASSERT_FALSE(seeds.empty());
@@ -317,11 +319,11 @@ TEST(TelemetryDeterminism, InstrumentedTrialMatchesItselfAndCounts) {
   telemetry::TrialTelemetry b;
   {
     auto mech = factory();
-    harness::run_trial(plan, *mech, {}, nullptr, &a);
+    harness::run_trial(plan, *mech, {}, {.telemetry = &a});
   }
   {
     auto mech = factory();
-    harness::run_trial(plan, *mech, {}, nullptr, &b);
+    harness::run_trial(plan, *mech, {}, {.telemetry = &b});
   }
   EXPECT_EQ(a.spans.spans(), b.spans.spans());
   EXPECT_EQ(a.recovery_latency_ticks, b.recovery_latency_ticks);
@@ -414,7 +416,6 @@ TEST(TelemetryDeterminism, PipelineProfileDoesNotChangeMinedBugs) {
   EXPECT_TRUE(profile.spans.wall_domain());
   EXPECT_FALSE(profile.metrics.snapshot().empty());
 }
-#endif  // FAULTSTUDY_TELEMETRY
 
 }  // namespace
 }  // namespace faultstudy

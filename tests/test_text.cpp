@@ -1,10 +1,9 @@
 // Unit tests for the text substrate: tokenizer, stopwords, stemmer, TF-IDF,
-// MinHash (including the Jaccard-estimation property), inverted index.
+// MinHash (including the Jaccard-estimation property).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "text/index.hpp"
 #include "text/minhash.hpp"
 #include "text/stemmer.hpp"
 #include "text/stopwords.hpp"
@@ -276,47 +275,6 @@ TEST(ExactJaccard, KnownValues) {
   EXPECT_DOUBLE_EQ(exact_jaccard({"a"}, {"b"}), 0.0);
   EXPECT_NEAR(exact_jaccard({"a", "b", "c"}, {"b", "c", "d"}), 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(exact_jaccard({}, {}), 0.0);
-}
-
-// ----------------------------------------------------------------- index
-
-TEST(InvertedIndex, MatchAnyFindsStemVariants) {
-  InvertedIndex idx;
-  idx.add_document(1, "the server crashed during peak load");
-  idx.add_document(2, "feature request: new theme");
-  idx.add_document(3, "my disk died again");
-
-  const auto hits = idx.match_any({"crash", "died"});
-  EXPECT_EQ(hits, (std::vector<std::uint64_t>{1, 3}));
-}
-
-TEST(InvertedIndex, MatchAllIntersects) {
-  InvertedIndex idx;
-  idx.add_document(1, "server crash under load");
-  idx.add_document(2, "crash on startup");
-  idx.add_document(3, "load balancing question");
-
-  EXPECT_EQ(idx.match_all({"crash", "load"}), (std::vector<std::uint64_t>{1}));
-  EXPECT_TRUE(idx.match_all({"crash", "nonexistent"}).empty());
-  EXPECT_TRUE(idx.match_all({}).empty());
-}
-
-TEST(InvertedIndex, DocumentFrequency) {
-  InvertedIndex idx;
-  idx.add_document(1, "crash crash crash");
-  idx.add_document(2, "another crash");
-  EXPECT_EQ(idx.document_frequency("crash"), 2u);  // per-doc, not per-token
-  EXPECT_EQ(idx.document_frequency("absent"), 0u);
-  EXPECT_EQ(idx.size(), 2u);
-}
-
-TEST(InvertedIndex, PaperKeywordsMatchTypicalMessages) {
-  InvertedIndex idx;
-  idx.add_document(1, "mysqld died with a segmentation fault");
-  idx.add_document(2, "race between login and admin");
-  idx.add_document(3, "how do I configure replication?");
-  const auto hits = idx.match_any({"crash", "segmentation", "race", "died"});
-  EXPECT_EQ(hits, (std::vector<std::uint64_t>{1, 2}));
 }
 
 }  // namespace
