@@ -243,8 +243,10 @@ std::vector<std::string> render_artifacts(std::size_t threads) {
   for (const auto& [label, tracer] : views->telemetry.traces) {
     trace_threads.push_back({label, &tracer});
     for (const auto& span : tracer.spans()) {
-      spans += label + ' ' + span.name + ' ' + std::to_string(span.start) +
-               ' ' + std::to_string(span.duration) + ' ' +
+      spans += label + ' ';
+      spans += span.name;
+      spans += ' ' + std::to_string(span.start) + ' ' +
+               std::to_string(span.duration) + ' ' +
                std::to_string(span.depth) + '\n';
     }
   }

@@ -7,6 +7,8 @@
 //   BM_MailingListPipeline/T  MySQL mbox mining
 //   BM_PoolForIndex/T         raw pool scheduling overhead (trivial items)
 //
+// The four sweeps report wall time ("Time") and the CPU time of every lane
+// together ("CPU"), so CPU / wall is the number of cores actually busy.
 // Before benchmarking, main() cross-checks the determinism contract on the
 // full corpus: run_matrix with 4 lanes must be bit-identical to the serial
 // run. The serial-vs-parallel speedup on a given host is the ratio of the
@@ -41,6 +43,8 @@ void BM_RecoveryMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoveryMatrix)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OracleCrosscheck(benchmark::State& state) {
@@ -55,6 +59,8 @@ void BM_OracleCrosscheck(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCrosscheck)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_TrackerPipeline(benchmark::State& state) {
@@ -69,6 +75,8 @@ void BM_TrackerPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackerPipeline)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MailingListPipeline(benchmark::State& state) {
@@ -82,6 +90,8 @@ void BM_MailingListPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_MailingListPipeline)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_PoolForIndex(benchmark::State& state) {

@@ -200,7 +200,8 @@ int main(int argc, char** argv) {
     const auto recovery_start = environment.now();
     recovery::RecoveryAction action;
     {
-      TELEM_SPAN(tracer, "recovery/" + mechanism_name);
+      const telemetry::SpanScope span(
+          tracer, telemetry::SpanName::intern("recovery/" + mechanism_name));
       action = mechanism->recover(*app, environment);
     }
     if (want_telemetry) {

@@ -45,24 +45,33 @@ void Database::arm_fault(const ActiveFault& fault) {
 }
 
 void Database::create_catalog() {
-  const auto flags = engine_.fault_flags();
-  engine_ = sql::Engine(flags);
-  engine_.execute("CREATE TABLE orders (id INT, state TEXT)");
-  engine_.execute("CREATE TABLE customers (id INT, name TEXT)");
-  engine_.execute("CREATE TABLE sessions (id INT, expires INT)");
-  engine_.execute("CREATE TABLE audit_log (id INT, entry TEXT)");  // empty
-  for (std::size_t i = 0; i < config_.orders_rows; ++i) {
-    engine_.execute("INSERT INTO orders VALUES (" + std::to_string(i) +
-                    ", 'open')");
-  }
-  for (int i = 0; i < 40; ++i) {
-    engine_.execute("INSERT INTO customers VALUES (" + std::to_string(i) +
-                    ", 'customer" + std::to_string(i) + "')");
-  }
-  for (int i = 0; i < 20; ++i) {
-    engine_.execute("INSERT INTO sessions VALUES (" + std::to_string(i) +
-                    ", " + std::to_string(100 + i) + ")");
-  }
+  // Built once per process by the same CREATE/INSERT text a start used to
+  // run, then shared copy-on-write by every Database (see the thread-safety
+  // invariant in apps/sql/engine.hpp). CREATE and INSERT never read the
+  // fault flags, so one catalog serves every armed fault.
+  static const sql::Engine catalog = [] {
+    sql::Engine e;
+    e.execute("CREATE TABLE orders (id INT, state TEXT)");
+    e.execute("CREATE TABLE customers (id INT, name TEXT)");
+    e.execute("CREATE TABLE sessions (id INT, expires INT)");
+    e.execute("CREATE TABLE audit_log (id INT, entry TEXT)");  // empty
+    for (int i = 0; i < 200; ++i) {
+      e.execute("INSERT INTO orders VALUES (" + std::to_string(i) +
+                ", 'open')");
+    }
+    for (int i = 0; i < 40; ++i) {
+      e.execute("INSERT INTO customers VALUES (" + std::to_string(i) +
+                ", 'customer" + std::to_string(i) + "')");
+    }
+    for (int i = 0; i < 20; ++i) {
+      e.execute("INSERT INTO sessions VALUES (" + std::to_string(i) + ", " +
+                std::to_string(100 + i) + ")");
+    }
+    return e;
+  }();
+  const sql::SqlFaultFlags flags = engine_.fault_flags();
+  engine_ = catalog;
+  engine_.set_fault_flags(flags);
 }
 
 bool Database::start(env::Environment& e) {
@@ -157,14 +166,18 @@ bool Database::restore(const SnapshotPtr& snapshot, env::Environment& e) {
 
 void Database::rejuvenate(env::Environment& e) {
   base_rejuvenate(e);
-  // Admin-driven cleanup: rotate the log, compact every table (OPTIMIZE
-  // TABLE reclaims the data file back below the size limit), release any
-  // session locks.
+  // Admin-driven cleanup: rotate the log, compact every table that has dead
+  // slots (OPTIMIZE TABLE reclaims the data file back below the size
+  // limit), release any session locks. A table without dead slots is left
+  // alone, so it stays shared with the catalog or the last checkpoint.
   e.disk().truncate("/var/lib/mysql/mysql.log");
   e.disk().truncate(log_path_);
   engine_.execute("UNLOCK TABLES");
   for (const char* table : {"orders", "customers", "sessions", "audit_log"}) {
-    if (auto* t = engine_.find_table(table)) t->compact();
+    const sql::Table* t = engine_.find_table(table);
+    if (t != nullptr && t->has_dead_slots()) {
+      engine_.mutable_table(table)->compact();
+    }
   }
   if (!e.network().port_bound(config_.listen_port)) {
     e.network().bind_port(config_.listen_port, "mysqld");

@@ -24,7 +24,6 @@ struct DatabaseConfig {
   std::size_t base_fds = 32;    ///< privilege tables + per-table descriptors
   std::size_t worker_pool = 4;  ///< service threads (modelled as processes)
   int listen_port = 3306;
-  std::size_t orders_rows = 200;
 };
 
 class Database final : public BaseApp {

@@ -52,14 +52,17 @@ ExecResult Engine::run(const Statement& statement) {
       statement.node);
 }
 
-Table* Engine::find_table(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
 const Table* Engine::find_table(const std::string& name) const {
   auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+  return it == tables_.end() ? nullptr : it->second.get();
+}
+
+Table* Engine::mutable_table(const std::string& name) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) return nullptr;
+  std::shared_ptr<Table>& table = it->second;
+  if (table.use_count() > 1) table = std::make_shared<Table>(*table);
+  return table.get();
 }
 
 bool Engine::matches(const Table& table, Slot slot,
@@ -151,21 +154,21 @@ ExecResult Engine::run_select(const SelectStatement& s) {
 }
 
 ExecResult Engine::run_insert(const InsertStatement& s) {
-  Table* table = find_table(s.table);
+  const Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
   if (s.values.size() != table->schema().columns.size()) {
     return error("arity mismatch for " + s.table);
   }
-  table->insert(s.values);
+  mutable_table(s.table)->insert(s.values);
   ExecResult r;
   r.affected = 1;
   return r;
 }
 
 ExecResult Engine::run_update(const UpdateStatement& s) {
-  Table* table = find_table(s.table);
-  if (table == nullptr) return error("unknown table " + s.table);
-  const int col = table->schema().find(s.column);
+  const Table* found = find_table(s.table);
+  if (found == nullptr) return error("unknown table " + s.table);
+  const int col = found->schema().find(s.column);
   if (col < 0) return error("unknown column " + s.column);
   std::string err;
 
@@ -174,6 +177,7 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
     // scan cursor. Moving a key forward leaves the stale entry behind
     // (duplicate values in the index); the post-statement consistency
     // check fires and the server dies. ---
+    Table* table = mutable_table(s.table);
     std::int64_t touched = 0;
     for (auto cursor = table->index_scan(); !cursor.done(); cursor.next()) {
       const Slot slot = cursor.slot();
@@ -201,18 +205,21 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   // The fixed algorithm (the paper's fix): "first scanning for all matching
   // rows and then updating the found rows".
   std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
+  for (Slot slot : found->scan_heap()) {
+    if (matches(*found, slot, s.where, &err)) hits.push_back(slot);
     if (!err.empty()) return error(err);
   }
-  for (Slot slot : hits) table->update_cell(slot, col, s.value);
+  if (!hits.empty()) {
+    Table* table = mutable_table(s.table);
+    for (Slot slot : hits) table->update_cell(slot, col, s.value);
+  }
   ExecResult r;
   r.affected = static_cast<std::int64_t>(hits.size());
   return r;
 }
 
 ExecResult Engine::run_delete(const DeleteStatement& s) {
-  Table* table = find_table(s.table);
+  const Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
   std::string err;
   std::vector<Slot> hits;
@@ -220,7 +227,10 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
     if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
     if (!err.empty()) return error(err);
   }
-  for (Slot slot : hits) table->erase(slot);
+  if (!hits.empty()) {
+    Table* target = mutable_table(s.table);
+    for (Slot slot : hits) target->erase(slot);
+  }
   ExecResult r;
   r.affected = static_cast<std::int64_t>(hits.size());
   return r;
@@ -228,21 +238,22 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
 
 ExecResult Engine::run_create(const CreateStatement& s) {
   if (tables_.contains(s.table)) return error("table exists: " + s.table);
-  tables_.emplace(s.table, Table(s.schema));
+  tables_.emplace(s.table, std::make_shared<Table>(s.schema));
   return {};
 }
 
 ExecResult Engine::run_admin(const AdminStatement& s) {
   switch (s.kind) {
     case AdminStatement::Kind::kOptimize: {
-      Table* table = find_table(s.table);
-      if (table == nullptr) return error("unknown table " + s.table);
+      if (find_table(s.table) == nullptr) {
+        return error("unknown table " + s.table);
+      }
       // --- mysql-ei-04: "an OPTIMIZE TABLE query crashes the server ...
       // caused by a missing initialization statement" ---
       if (flags_.optimize_missing_init) {
         return crash("OPTIMIZE TABLE used an uninitialized repair context");
       }
-      table->compact();
+      mutable_table(s.table)->compact();
       return {};
     }
     case AdminStatement::Kind::kLockTables:

@@ -16,11 +16,26 @@
 //   flush_after_lock_bug    (mysql-ei-05) FLUSH TABLES while the session
 //       holds a LOCK TABLES lock re-enters the lock state machine.
 //
-// The engine is value-semantic (copyable) so the Database application's
-// snapshots capture the full catalog + data + lock state.
+// Copies are copy-on-write: an Engine holds its tables through shared
+// pointers, so a copy (a Database snapshot, a restore, a fresh start from
+// the shared catalog) costs one map of pointers, and a table is cloned only
+// when one side is about to write to it while the other still refers to it.
+// Reads go through find_table() const; every write goes through
+// mutable_table(), which is where the clone happens.
+//
+// Thread safety. The Database application starts every engine from one
+// function-local static catalog engine, shared by all executor lanes:
+//   * that catalog is the only engine whose tables more than one lane sees,
+//     and nothing ever writes to it;
+//   * it keeps its own reference to each of its tables, so a lane about to
+//     write to a table it shares with the catalog always sees
+//     use_count() > 1 and clones it first;
+//   * snapshots never leave their trial's lane, so every other table is
+//     referenced from one lane only and its use_count() is exact.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +80,10 @@ class Engine {
   /// Direct statement execution (parser bypass, used by tests).
   ExecResult run(const Statement& statement);
 
-  Table* find_table(const std::string& name);
   const Table* find_table(const std::string& name) const;
+  /// The table `name` for writing, cloned first if another engine shares
+  /// it; nullptr when absent.
+  Table* mutable_table(const std::string& name);
   std::size_t table_count() const noexcept { return tables_.size(); }
 
   bool holds_lock() const noexcept { return !locked_table_.empty(); }
@@ -83,7 +100,7 @@ class Engine {
   bool matches(const Table& table, Slot slot,
                const std::vector<Predicate>& where, std::string* error) const;
 
-  std::map<std::string, Table> tables_;
+  std::map<std::string, std::shared_ptr<Table>> tables_;
   std::string locked_table_;
   SqlFaultFlags flags_;
 };

@@ -1,6 +1,7 @@
 #include "apps/sql/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 namespace faultstudy::apps::sql {
@@ -57,8 +58,12 @@ util::Result<std::vector<Token>> lex(std::string_view sql) {
       }
       Token t;
       t.kind = TokenKind::kInteger;
-      t.text = num;
-      t.number = std::stoll(num);
+      const auto parsed =
+          std::from_chars(num.data(), num.data() + num.size(), t.number);
+      if (parsed.ec != std::errc()) {
+        return util::Err{std::string("integer literal out of range")};
+      }
+      t.text = std::move(num);
       out.push_back(std::move(t));
       continue;
     }

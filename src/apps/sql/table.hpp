@@ -72,6 +72,9 @@ class Table {
   /// under its current key. Returns false when corrupted.
   bool check_index() const;
 
+  /// True when erased rows still occupy heap slots (compact() reclaims them).
+  bool has_dead_slots() const noexcept { return live_rows_ != rows_.size(); }
+
   /// OPTIMIZE TABLE-style compaction: rebuilds heap and index from live
   /// rows, dropping dead slots.
   void compact();

@@ -129,12 +129,12 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     observers.flight->bind_clock(&environment.clock());
   }
   telemetry::SpanTracer* tracer = nullptr;
-  std::string recovery_span_name;
-  if (observers.telemetry != nullptr) {
+  telemetry::SpanName recovery_span = "recovery";  // named below if traced
+  if (observers.telemetry != nullptr && observers.telemetry->spans.empty()) {
     observers.telemetry->spans.bind_sim(&environment.clock());
     tracer = &observers.telemetry->spans;
-    recovery_span_name = "recovery/";
-    recovery_span_name += mechanism.name();
+    recovery_span = telemetry::SpanName::intern(
+        "recovery/" + std::string(mechanism.name()));
   }
   if (observers.telemetry != nullptr || observers.flight != nullptr ||
       observers.coverage != nullptr) {
@@ -145,7 +145,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
   const apps::Workload workload =
       apps::make_workload(plan.seed.app, workload_spec);
   obs::emit(stream, obs::Event::kTrialStart, workload.size(), config.cycles);
-  TELEM_SPAN(tracer, "trial");
+  const telemetry::SpanScope trial_span(tracer, "trial");
 
   auto app = inject::make_app(plan.seed.app);
   app->arm_fault(plan.fault);
@@ -257,7 +257,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     const env::Tick recovery_start = environment.now();
     recovery::RecoveryAction action;
     {
-      TELEM_SPAN(tracer, recovery_span_name);
+      const telemetry::SpanScope span(tracer, recovery_span);
       action = mechanism.recover(*app, environment);
     }
     obs::emit(stream, obs::Event::kRecoveryAttempt,
@@ -354,9 +354,9 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     int survived = 0;
     int observed = 0;
     bool lost_state = false;
-    /// Counters and histograms summed over repeats; the spans kept are the
-    /// first repeat's. Heap-allocated, like `probes`, so the unobserved
-    /// path pays one pointer per cell.
+    /// Shared by the cell's repeats: counters and histograms accumulate
+    /// over them, the spans are the first repeat's. Heap-allocated, like
+    /// `probes`, so the unobserved path pays one pointer per cell.
     std::unique_ptr<telemetry::TrialTelemetry> telem;
     /// Union coverage over the cell's repeats (every repeat marks it).
     std::unique_ptr<obs::CoverageMap> probes;
@@ -379,16 +379,18 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
           votes.probes = std::make_unique<obs::CoverageMap>();
           sinks.coverage = votes.probes.get();
         }
+        if (telemetry != nullptr) {
+          votes.telem = std::make_unique<telemetry::TrialTelemetry>();
+          sinks.telemetry = votes.telem.get();
+        }
         std::optional<forensics::TrialForensics> trial_forensics;
         if (forensics != nullptr) sinks.forensics = &trial_forensics.emplace();
-        std::optional<telemetry::TrialTelemetry> trial_telem;
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
           tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
                     util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
-          if (telemetry != nullptr) sinks.telemetry = &trial_telem.emplace();
           if (trial_forensics) trial_forensics->ring.clear();
           const TrialOutcome outcome = run_trial(plan, *mechanism, tc, sinks);
           if (trial_forensics) {
@@ -396,14 +398,6 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
             if (postmortem.has_value()) postmortem->repeat = r;
             votes.fates.push_back({outcome.survived, std::move(postmortem)});
             postmortem.reset();
-          }
-          if (trial_telem) {
-            if (votes.telem == nullptr) {
-              votes.telem = std::make_unique<telemetry::TrialTelemetry>(
-                  std::move(*trial_telem));
-            } else {
-              telemetry::merge(*votes.telem, *trial_telem);
-            }
           }
           if (outcome.failure_observed) {
             ++votes.observed;

@@ -77,7 +77,10 @@ struct TrialObservation {
 ///
 ///   * telemetry: counters, tick histograms for items and recoveries, and
 ///     sim-domain spans (a "trial" root plus one "recovery/<mechanism>"
-///     span per recovery);
+///     span per recovery). Counters and histograms accumulate across the
+///     trials that share one TrialTelemetry; spans are recorded only into
+///     an empty tracer, so a shared TrialTelemetry keeps the first trial's
+///     trace (run_matrix shares one across the repeats of a cell);
 ///   * forensics: the flight-recorder ring. When the trial does NOT
 ///     survive, the runner snapshots the ring plus the environment's
 ///     resource state into `forensics->postmortem` and reconstructs the

@@ -125,11 +125,11 @@ PipelineResult run_tracker_pipeline(const corpus::BugTracker& tracker,
       options.telemetry != nullptr ? &options.telemetry->spans : nullptr;
   const AmbientStatsScope profile(
       options.telemetry != nullptr ? &options.telemetry->pool : nullptr);
-  TELEM_SPAN(tracer, "mine/tracker");
+  const telemetry::SpanScope tracker_span(tracer, "mine/tracker");
 
   std::vector<corpus::BugReport> candidates;
   {
-    TELEM_SPAN(tracer, "mine/filter");
+    const telemetry::SpanScope filter_span(tracer, "mine/filter");
     candidates = study_candidates(tracker, &result.filter_funnel);
   }
 
@@ -143,14 +143,14 @@ PipelineResult run_tracker_pipeline(const corpus::BugTracker& tracker,
   }
   std::vector<std::vector<std::size_t>> clusters;
   {
-    TELEM_SPAN(tracer, "mine/dedup");
+    const telemetry::SpanScope dedup_span(tracer, "mine/dedup");
     clusters = cluster_documents(docs, dedup_params(options));
   }
   result.clusters = clusters.size();
 
   // Each cluster's merge + classification is independent; bugs land in
   // their cluster's slot, keeping output order identical to the serial run.
-  TELEM_SPAN(tracer, "mine/classify");
+  const telemetry::SpanScope classify_span(tracer, "mine/classify");
   const core::RuleClassifier classifier(options.policy);
   result.bugs = util::parallel_map<UniqueBug>(
       clusters.size(), options.threads, [&](std::size_t ci) {
@@ -212,11 +212,11 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
       options.telemetry != nullptr ? &options.telemetry->spans : nullptr;
   const AmbientStatsScope profile(
       options.telemetry != nullptr ? &options.telemetry->pool : nullptr);
-  TELEM_SPAN(tracer, "mine/mailinglist");
+  const telemetry::SpanScope mailinglist_span(tracer, "mine/mailinglist");
 
   std::vector<MinedThread> threads;
   {
-    TELEM_SPAN(tracer, "mine/keyword");
+    const telemetry::SpanScope keyword_span(tracer, "mine/keyword");
     threads = mine_threads(list, study_keywords(), &result.keyword_funnel);
   }
 
@@ -230,7 +230,7 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
   }
   std::vector<std::vector<std::size_t>> clusters;
   {
-    TELEM_SPAN(tracer, "mine/dedup");
+    const telemetry::SpanScope dedup_span(tracer, "mine/dedup");
     clusters = cluster_documents(docs, dedup_params(options));
   }
   result.clusters = clusters.size();
@@ -238,7 +238,7 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
   // Fan out per cluster as in the tracker path; clusters whose version is
   // not a known production release come back with bucket < 0 and are
   // dropped by the serial, cluster-ordered filter below.
-  TELEM_SPAN(tracer, "mine/classify");
+  const telemetry::SpanScope classify_span(tracer, "mine/classify");
   const core::RuleClassifier classifier(options.policy);
   auto bugs = util::parallel_map<UniqueBug>(
       clusters.size(), options.threads, [&](std::size_t ci) {

@@ -3,8 +3,9 @@
 //
 // Everything in this header is a plain struct of integers. A trial is
 // single-threaded, so increments need no atomics; parallel sweeps give every
-// trial its own struct in a per-index slot and merge serially in index order
-// (the PR 2 determinism contract), which is what keeps aggregated telemetry
+// matrix cell its own struct in a per-index slot (the cell's repeats
+// accumulate into it) and fold serially in index order (the determinism
+// contract, DESIGN.md §8), which is what keeps aggregated telemetry
 // bit-identical across thread counts.
 #pragma once
 
@@ -135,9 +136,5 @@ inline constexpr auto kCounterInfo = [] {
 static_assert(kCounterInfo.size() ==
                   sizeof(TrialCounters) / sizeof(std::uint64_t),
               "every TrialCounters field needs a kCounterInfo row");
-
-/// Field-wise fold (for folding repeat trials of one matrix cell together):
-/// sums add, peaks keep the maximum.
-void merge(TrialCounters& into, const TrialCounters& from) noexcept;
 
 }  // namespace faultstudy::telemetry

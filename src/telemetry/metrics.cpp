@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/counters.hpp"
-
 namespace faultstudy::telemetry {
 
 Histogram::Histogram(std::vector<std::int64_t> bounds)
@@ -60,42 +58,34 @@ std::vector<std::int64_t> default_micros_bounds() {
 MetricsRegistry::MetricsRegistry(std::size_t shards)
     : shards_(shards == 0 ? 1 : shards) {}
 
-void MetricsRegistry::ensure_shards(std::size_t shards) {
-  if (shards <= shards_) return;
-  shards_ = shards;
-  for (auto& m : counters_) m.cells.resize(shards_);
-  for (auto& m : gauges_) m.cells.resize(shards_);
-  for (auto& m : histograms_) {
-    m.cells.resize(shards_, Histogram(m.bounds));
-  }
-}
-
 CounterId MetricsRegistry::counter(std::string_view name) {
-  const auto it = counter_ids_.find(std::string(name));
+  const auto it = counter_ids_.find(name);
   if (it != counter_ids_.end()) return {it->second};
-  const auto index = static_cast<std::uint32_t>(counters_.size());
-  counters_.push_back({std::string(name), std::vector<CounterCell>(shards_)});
+  const auto index = static_cast<std::uint32_t>(counter_names_.size());
+  counter_names_.emplace_back(name);
+  counter_cells_.resize(counter_cells_.size() + shards_);
   counter_ids_.emplace(std::string(name), index);
   return {index};
 }
 
 GaugeId MetricsRegistry::gauge(std::string_view name) {
-  const auto it = gauge_ids_.find(std::string(name));
+  const auto it = gauge_ids_.find(name);
   if (it != gauge_ids_.end()) return {it->second};
-  const auto index = static_cast<std::uint32_t>(gauges_.size());
-  gauges_.push_back({std::string(name), std::vector<GaugeCell>(shards_)});
+  const auto index = static_cast<std::uint32_t>(gauge_names_.size());
+  gauge_names_.emplace_back(name);
+  gauge_cells_.resize(gauge_cells_.size() + shards_);
   gauge_ids_.emplace(std::string(name), index);
   return {index};
 }
 
-HistogramId MetricsRegistry::histogram(std::string_view name,
-                                       std::vector<std::int64_t> bounds) {
-  const auto it = histogram_ids_.find(std::string(name));
+HistogramId MetricsRegistry::histogram(
+    std::string_view name, const std::vector<std::int64_t>& bounds) {
+  const auto it = histogram_ids_.find(name);
   if (it != histogram_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(histograms_.size());
   HistMetric metric;
   metric.name = std::string(name);
-  metric.bounds = std::move(bounds);
+  metric.bounds = bounds;
   metric.cells.assign(shards_, Histogram(metric.bounds));
   histograms_.push_back(std::move(metric));
   histogram_ids_.emplace(std::string(name), index);
@@ -104,15 +94,15 @@ HistogramId MetricsRegistry::histogram(std::string_view name,
 
 void MetricsRegistry::add(CounterId id, std::uint64_t n,
                           std::size_t shard) noexcept {
-  counters_[id.index].cells[shard < shards_ ? shard : 0].value += n;
+  counter_cells_[cell(id.index, shard)].value += n;
 }
 
 void MetricsRegistry::peak(GaugeId id, std::int64_t value,
                            std::size_t shard) noexcept {
-  auto& cell = gauges_[id.index].cells[shard < shards_ ? shard : 0];
-  if (!cell.set || value > cell.high) {
-    cell.high = value;
-    cell.set = true;
+  GaugeCell& high = gauge_cells_[cell(id.index, shard)];
+  if (!high.set || value > high.high) {
+    high.high = value;
+    high.set = true;
   }
 }
 
@@ -126,16 +116,34 @@ void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h,
   histograms_[id.index].cells[shard < shards_ ? shard : 0].merge(h);
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& m : other.counters_) {
-    std::uint64_t total = 0;
-    for (const auto& cell : m.cells) total += cell.value;
-    if (total > 0) add(counter(m.name), total);
+std::uint64_t MetricsRegistry::counter_total(std::size_t index) const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < shards_; ++s) {
+    total += counter_cells_[index * shards_ + s].value;
   }
-  for (const auto& m : other.gauges_) {
-    for (const auto& cell : m.cells) {
-      if (cell.set) peak(gauge(m.name), cell.high);
+  return total;
+}
+
+MetricsRegistry::GaugeCell MetricsRegistry::gauge_high(
+    std::size_t index) const noexcept {
+  GaugeCell high;
+  for (std::size_t s = 0; s < shards_; ++s) {
+    const GaugeCell& shard_high = gauge_cells_[index * shards_ + s];
+    if (shard_high.set && (!high.set || shard_high.high > high.high)) {
+      high = shard_high;
     }
+  }
+  return high;
+}
+
+void MetricsRegistry::merge_from(const MetricsRegistry& other) {
+  for (std::size_t i = 0; i < other.counter_names_.size(); ++i) {
+    const std::uint64_t total = other.counter_total(i);
+    if (total > 0) add(counter(other.counter_names_[i]), total);
+  }
+  for (std::size_t i = 0; i < other.gauge_names_.size(); ++i) {
+    const GaugeCell high = other.gauge_high(i);
+    if (high.set) peak(gauge(other.gauge_names_[i]), high.high);
   }
   for (const auto& m : other.histograms_) {
     const HistogramId id = histogram(m.name, m.bounds);
@@ -145,23 +153,13 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& m : counters_) {
-    std::uint64_t total = 0;
-    for (const auto& cell : m.cells) total += cell.value;
-    snap.counters.push_back({m.name, total});
+  snap.counters.reserve(counter_names_.size());
+  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
+    snap.counters.push_back({counter_names_[i], counter_total(i)});
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& m : gauges_) {
-    std::int64_t high = 0;
-    bool set = false;
-    for (const auto& cell : m.cells) {
-      if (cell.set && (!set || cell.high > high)) {
-        high = cell.high;
-        set = true;
-      }
-    }
-    snap.gauges.push_back({m.name, high});
+  snap.gauges.reserve(gauge_names_.size());
+  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
+    snap.gauges.push_back({gauge_names_[i], gauge_high(i).high});
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& m : histograms_) {
@@ -177,15 +175,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
-}
-
-void merge(TrialCounters& into, const TrialCounters& from) noexcept {
-  for (const CounterInfo& info : kCounterInfo) {
-    std::uint64_t& value = into.*info.field;
-    value = info.kind == CounterKind::kPeak
-                ? std::max(value, from.*info.field)
-                : value + from.*info.field;
-  }
 }
 
 }  // namespace faultstudy::telemetry

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -120,14 +121,11 @@ class MetricsRegistry {
 
   std::size_t shards() const noexcept { return shards_; }
 
-  /// Grows the shard count (serial-only; call before a wider sweep starts).
-  void ensure_shards(std::size_t shards);
-
   // --- registration (serial-only; returns the existing id on re-use) ---
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
   HistogramId histogram(std::string_view name,
-                        std::vector<std::int64_t> bounds);
+                        const std::vector<std::int64_t>& bounds);
 
   // --- writers (lock-free: one writer per shard) ---
   void add(CounterId id, std::uint64_t n = 1, std::size_t shard = 0) noexcept;
@@ -156,27 +154,42 @@ class MetricsRegistry {
     bool set = false;
   };
 
-  struct CounterMetric {
-    std::string name;
-    std::vector<CounterCell> cells;  ///< one per shard
-  };
-  struct GaugeMetric {
-    std::string name;
-    std::vector<GaugeCell> cells;
-  };
   struct HistMetric {
     std::string name;
     std::vector<std::int64_t> bounds;
     std::vector<Histogram> cells;
   };
 
+  /// Name -> index, looked up by string_view without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameIds = std::unordered_map<std::string, std::uint32_t, NameHash,
+                                     std::equal_to<>>;
+
+  /// Flat index of a counter or gauge cell; out-of-range shards write 0.
+  std::size_t cell(std::uint32_t index, std::size_t shard) const noexcept {
+    return index * shards_ + (shard < shards_ ? shard : 0);
+  }
+  std::uint64_t counter_total(std::size_t index) const noexcept;
+  /// The gauge's high-watermark over shards; `set` is false if never raised.
+  GaugeCell gauge_high(std::size_t index) const noexcept;
+
   std::size_t shards_;
-  std::vector<CounterMetric> counters_;
-  std::vector<GaugeMetric> gauges_;
+  // Counter and gauge cells are stored flat, shards_ per metric (metric i,
+  // shard s at [i * shards_ + s]), so registering one allocates only when
+  // a vector grows.
+  std::vector<std::string> counter_names_;
+  std::vector<CounterCell> counter_cells_;
+  std::vector<std::string> gauge_names_;
+  std::vector<GaugeCell> gauge_cells_;
   std::vector<HistMetric> histograms_;
-  std::unordered_map<std::string, std::uint32_t> counter_ids_;
-  std::unordered_map<std::string, std::uint32_t> gauge_ids_;
-  std::unordered_map<std::string, std::uint32_t> histogram_ids_;
+  NameIds counter_ids_;
+  NameIds gauge_ids_;
+  NameIds histogram_ids_;
 };
 
 }  // namespace faultstudy::telemetry

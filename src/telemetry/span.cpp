@@ -1,5 +1,9 @@
 #include "telemetry/span.hpp"
 
+#include <mutex>
+#include <set>
+#include <string>
+
 namespace faultstudy::telemetry {
 
 std::int64_t SpanTracer::now() const noexcept {
@@ -12,10 +16,19 @@ std::int64_t SpanTracer::now() const noexcept {
   return 0;
 }
 
-std::size_t SpanTracer::open(std::string_view name) {
+SpanName SpanName::intern(std::string_view name) {
+  static std::mutex mutex;
+  static std::set<std::string, std::less<>> names;  // nodes never move
+  const std::lock_guard lock(mutex);
+  auto it = names.find(name);
+  if (it == names.end()) it = names.emplace(name).first;
+  return SpanName(*it);
+}
+
+std::size_t SpanTracer::open(SpanName name) {
   const std::size_t index = spans_.size();
   Span span;
-  span.name = std::string(name);
+  span.name = name.view();
   span.start = now();
   span.depth = depth_++;
   spans_.push_back(std::move(span));

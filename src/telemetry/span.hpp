@@ -15,7 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -23,8 +23,28 @@
 
 namespace faultstudy::telemetry {
 
+/// A span's name. Spans keep only a view of it, so it must outlive every
+/// trace that records it: a string literal, or a computed name passed
+/// through intern() once (kept for the life of the process). Opening a span
+/// then copies no characters.
+class SpanName {
+ public:
+  template <std::size_t N>
+  consteval SpanName(const char (&literal)[N]) noexcept  // implicit
+      : view_(literal, N - 1) {}
+
+  /// Interns a computed name such as "recovery/" + mechanism. Thread-safe.
+  static SpanName intern(std::string_view name);
+
+  std::string_view view() const noexcept { return view_; }
+
+ private:
+  explicit SpanName(std::string_view interned) noexcept : view_(interned) {}
+  std::string_view view_;
+};
+
 struct Span {
-  std::string name;
+  std::string_view name;
   std::int64_t start = 0;     ///< ticks (sim) or microseconds (wall)
   std::int64_t duration = 0;  ///< same unit as start
   std::uint32_t depth = 0;    ///< nesting level at open, 0 = root
@@ -58,7 +78,7 @@ class SpanTracer {
   std::int64_t now() const noexcept;
 
   /// Opens a span and returns its index; close() stamps the duration.
-  std::size_t open(std::string_view name);
+  std::size_t open(SpanName name);
   void close(std::size_t index) noexcept;
 
   const std::vector<Span>& spans() const noexcept { return spans_; }
@@ -81,7 +101,7 @@ class SpanTracer {
 /// meant for per-item inner loops (keep spans coarse — see DESIGN.md).
 class SpanScope {
  public:
-  SpanScope(SpanTracer* tracer, std::string_view name)
+  SpanScope(SpanTracer* tracer, SpanName name)
       : tracer_(tracer != nullptr && tracer->bound() ? tracer : nullptr) {
     if (tracer_ != nullptr) index_ = tracer_->open(name);
   }
@@ -96,14 +116,5 @@ class SpanScope {
   SpanTracer* tracer_ = nullptr;
   std::size_t index_ = 0;
 };
-
-#define FS_TELEM_CAT2(a, b) a##b
-#define FS_TELEM_CAT(a, b) FS_TELEM_CAT2(a, b)
-
-// TELEM_SPAN(tracer_ptr, "recovery/rollback"): scoped span tied to the
-// enclosing block.
-#define TELEM_SPAN(tracer, name)                   \
-  ::faultstudy::telemetry::SpanScope FS_TELEM_CAT( \
-      fs_telem_span_, __LINE__)((tracer), (name))
 
 }  // namespace faultstudy::telemetry

@@ -4,28 +4,10 @@
 #include <array>
 
 namespace faultstudy::telemetry {
-namespace {
-
-std::string joined(std::string_view head, std::string_view tail) {
-  std::string out;
-  out.reserve(head.size() + tail.size() + 1);
-  out.append(head);
-  out.push_back('/');
-  out.append(tail);
-  return out;
-}
-
-}  // namespace
 
 TrialTelemetry::TrialTelemetry()
     : recovery_latency_ticks(default_tick_bounds()),
       item_latency_ticks(default_tick_bounds()) {}
-
-void merge(TrialTelemetry& into, const TrialTelemetry& from) {
-  merge(into.counters, from.counters);
-  into.recovery_latency_ticks.merge(from.recovery_latency_ticks);
-  into.item_latency_ticks.merge(from.item_latency_ticks);
-}
 
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry, std::size_t shard) {
@@ -36,28 +18,35 @@ void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
     registry.peak(registry.gauge(name), static_cast<std::int64_t>(high),
                   shard);
   };
+  // Per-mechanism names are assembled in one reused buffer: this fold runs
+  // once per matrix cell.
+  const std::string_view mech = mechanism.empty() ? "trial" : mechanism;
+  std::string scoped;
+  const auto scoped_name = [&](std::string_view head, std::string_view tail) {
+    scoped.assign(head).append(mech).append("/").append(tail);
+    return std::string_view(scoped);
+  };
 
-  const std::string mech(mechanism.empty() ? "trial" : mechanism);
   for (const CounterInfo& info : kCounterInfo) {
     const std::uint64_t value = trial.counters.*info.field;
     switch (info.kind) {
       case CounterKind::kSum: add(info.name, value); break;
       case CounterKind::kPeak: peak(info.name, value); break;
       case CounterKind::kMechanismSum:
-        add(joined("recovery/" + mech, info.name), value);
+        add(scoped_name("recovery/", info.name), value);
         break;
     }
   }
 
   if (!trial.recovery_latency_ticks.empty()) {
     const HistogramId id =
-        registry.histogram(joined("recovery/" + mech, "latency_ticks"),
+        registry.histogram(scoped_name("recovery/", "latency_ticks"),
                            trial.recovery_latency_ticks.bounds());
     registry.merge_histogram(id, trial.recovery_latency_ticks, shard);
   }
   if (!trial.item_latency_ticks.empty()) {
     const HistogramId id =
-        registry.histogram(joined("trial/" + mech, "item_latency_ticks"),
+        registry.histogram(scoped_name("trial/", "item_latency_ticks"),
                            trial.item_latency_ticks.bounds());
     registry.merge_histogram(id, trial.item_latency_ticks, shard);
   }

@@ -31,10 +31,6 @@ struct TrialTelemetry {
   SpanTracer spans;                  ///< sim domain
 };
 
-/// Folds `from`'s counters and tick histograms into `into` (repeat trials of
-/// one matrix cell); spans are not merged.
-void merge(TrialTelemetry& into, const TrialTelemetry& from);
-
 /// Registers and bumps registry metrics from one trial's aggregates, writing
 /// into `shard`. Resource and app counters fold into global `env/...` and
 /// `app/...` metrics; recovery counters and latency histograms fold under

@@ -3,6 +3,9 @@
 // activation mechanics.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "apps/database.hpp"
 #include "apps/desktop.hpp"
 #include "apps/webserver.hpp"
@@ -87,6 +90,77 @@ TEST(Database, LifecycleAndCatalog) {
   EXPECT_EQ(e.fds().used(), 0u);
 }
 
+TEST(Database, StartedDatabasesShareTheCatalog) {
+  env::Environment e1;
+  env::Environment e2;
+  Database a;
+  Database b;
+  ASSERT_TRUE(a.start(e1));
+  ASSERT_TRUE(b.start(e2));
+  for (const char* table : {"orders", "customers", "sessions", "audit_log"}) {
+    EXPECT_EQ(a.engine().find_table(table), b.engine().find_table(table))
+        << table;
+  }
+  EXPECT_FALSE(is_failure(
+      a.handle(item("INSERT INTO orders VALUES (9001, 'new')"), e1)));
+  EXPECT_EQ(a.rows("orders"), 201u);
+  EXPECT_EQ(b.rows("orders"), 200u);
+  EXPECT_NE(a.engine().find_table("orders"), b.engine().find_table("orders"));
+  EXPECT_EQ(a.engine().find_table("customers"),
+            b.engine().find_table("customers"));
+  // A later start begins from the untouched catalog, not from a's writes.
+  env::Environment e3;
+  Database c;
+  ASSERT_TRUE(c.start(e3));
+  EXPECT_EQ(c.rows("orders"), 200u);
+  EXPECT_EQ(c.engine().find_table("orders"), b.engine().find_table("orders"));
+}
+
+TEST(Database, ArmedFlagsSurviveStartAndColdRestart) {
+  env::Environment e;
+  Database db;
+  ActiveFault fault;
+  fault.trigger = core::Trigger::kBoundaryInput;
+  fault.fault_id = "mysql-ei-03";
+  db.arm_fault(fault);
+  ASSERT_TRUE(db.start(e));
+  EXPECT_TRUE(db.engine().fault_flags().count_on_empty_crash);
+  const WorkItem killer = item("SELECT COUNT(*) FROM audit_log");
+  EXPECT_EQ(db.handle(killer, e).status, StepStatus::kCrash);
+  EXPECT_FALSE(db.running());
+  db.stop(e);  // cold restart
+  ASSERT_TRUE(db.start(e));
+  EXPECT_TRUE(db.engine().fault_flags().count_on_empty_crash);
+  EXPECT_EQ(db.handle(killer, e).status, StepStatus::kCrash);
+
+  // An unarmed database started since shares the same catalog, unarmed.
+  env::Environment fresh;
+  Database fixed;
+  ASSERT_TRUE(fixed.start(fresh));
+  EXPECT_FALSE(fixed.engine().fault_flags().count_on_empty_crash);
+  EXPECT_FALSE(is_failure(fixed.handle(killer, fresh)));
+}
+
+TEST(Database, RejuvenationCompactsOnlyTablesWithDeadSlots) {
+  env::Environment e;
+  Database db;
+  ASSERT_TRUE(db.start(e));
+  env::Environment e2;
+  Database fresh;
+  ASSERT_TRUE(fresh.start(e2));
+  EXPECT_FALSE(
+      is_failure(db.handle(item("DELETE FROM sessions WHERE id < 5"), e)));
+  ASSERT_TRUE(db.engine().find_table("sessions")->has_dead_slots());
+  db.rejuvenate(e);
+  EXPECT_FALSE(db.engine().find_table("sessions")->has_dead_slots());
+  EXPECT_EQ(db.rows("sessions"), 15u);
+  // Tables nobody wrote to are still the catalog's.
+  EXPECT_EQ(db.engine().find_table("customers"),
+            fresh.engine().find_table("customers"));
+  EXPECT_EQ(db.engine().find_table("orders"),
+            fresh.engine().find_table("orders"));
+}
+
 TEST(Desktop, LifecycleAndWindows) {
   env::Environment e;
   Desktop desktop;
@@ -124,16 +198,34 @@ TEST(Snapshot, RestoresCountersAndFootprint) {
 }
 
 TEST(Snapshot, DatabaseTablesRestored) {
+  const char* const kTables[] = {"orders", "customers", "sessions",
+                                 "audit_log"};
   env::Environment e;
   Database db;
   ASSERT_TRUE(db.start(e));
+  db.handle(item("INSERT INTO audit_log VALUES (1, 'login')"), e);
+  db.handle(item("DELETE FROM sessions WHERE id < 5"), e);
+  std::vector<std::uint64_t> checkpointed;
+  for (const char* t : kTables) checkpointed.push_back(db.rows(t));
   const auto snap = db.snapshot();
-  db.handle(item("INSERT INTO orders VALUES (9001, 'a')"), e);
-  db.handle(item("INSERT INTO orders VALUES (9002, 'b')"), e);
-  const auto grown = db.rows("orders");
-  EXPECT_EQ(grown, 202u);
-  ASSERT_TRUE(db.restore(snap, e));
-  EXPECT_EQ(db.rows("orders"), grown - 2);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    db.handle(item("INSERT INTO orders VALUES (9001, 'a')"), e);
+    db.handle(item("DELETE FROM customers WHERE id < 10"), e);
+    db.handle(item("DELETE FROM audit_log WHERE id = 1"), e);
+    db.handle(item("OPTIMIZE TABLE sessions"), e);
+    EXPECT_EQ(db.rows("orders"), checkpointed[0] + 1);
+    EXPECT_EQ(db.rows("customers"), checkpointed[1] - 10);
+    EXPECT_EQ(db.rows("audit_log"), 0u);
+    // Writes after a restore must not reach the snapshot either, so a
+    // second restore from it gives the same counts.
+    ASSERT_TRUE(db.restore(snap, e));
+    for (std::size_t i = 0; i < std::size(kTables); ++i) {
+      EXPECT_EQ(db.rows(kTables[i]), checkpointed[i]) << kTables[i];
+    }
+    EXPECT_TRUE(db.engine().find_table("orders")->check_index());
+  }
 }
 
 TEST(Snapshot, WrongSnapshotTypeRejected) {

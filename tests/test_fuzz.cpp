@@ -54,6 +54,16 @@ TEST(FuzzSql, ParserNeverThrows) {
   for (int i = 0; i < 3000; ++i) {
     (void)apps::sql::parse(random_text(rng, 120));
   }
+  // Long digit runs: integer literals at and past the int64 range, spliced
+  // into garbage at a random point, must be rejected, not thrown.
+  for (int i = 0; i < 500; ++i) {
+    std::string text = random_text(rng, 60);
+    const std::string digits(static_cast<std::size_t>(rng.between(17, 40)),
+                             static_cast<char>(rng.between('1', '9')));
+    text.insert(static_cast<std::size_t>(rng.below(text.size() + 1)),
+                (rng.chance(0.3) ? " -" : " ") + digits + " ");
+    (void)apps::sql::parse(text);
+  }
 }
 
 TEST(FuzzSql, UnarmedEngineNeverCrashes) {

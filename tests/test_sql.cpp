@@ -2,6 +2,9 @@
 // and the five study bugs implemented as engine-level fault points.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
 
@@ -54,6 +57,19 @@ TEST(SqlLexer, UnterminatedStringIsError) {
 
 TEST(SqlLexer, UnexpectedCharacterIsError) {
   EXPECT_FALSE(lex("SELECT @").ok());
+}
+
+TEST(SqlLexer, OutOfRangeIntegerIsError) {
+  const auto big = lex("SELECT * FROM t WHERE id = 99999999999999999999");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.error(), "integer literal out of range");
+  EXPECT_FALSE(lex("9223372036854775808").ok());
+  EXPECT_FALSE(lex("-9223372036854775809").ok());
+  // The int64 limits themselves still lex.
+  const auto limits = lex("9223372036854775807 -9223372036854775808");
+  ASSERT_TRUE(limits.ok());
+  EXPECT_EQ(limits.value()[0].number, INT64_MAX);
+  EXPECT_EQ(limits.value()[1].number, INT64_MIN);
 }
 
 // ----------------------------------------------------------------- parser
@@ -246,6 +262,143 @@ TEST(SqlEngine, EngineIsCopyable) {
   e.execute("DELETE FROM t WHERE id = 1");
   EXPECT_EQ(copy.find_table("t")->row_count(), 3u);
   EXPECT_EQ(e.find_table("t")->row_count(), 2u);
+}
+
+TEST(SqlEngine, OutOfRangeLiteralIsAnErrorNotAThrow) {
+  auto e = make_engine();
+  ExecResult r;
+  ASSERT_NO_THROW(
+      r = e.execute("SELECT * FROM t WHERE id = 99999999999999999999"));
+  EXPECT_EQ(r.status, ExecStatus::kError);
+  EXPECT_EQ(r.message, "integer literal out of range");
+}
+
+// ------------------------------------------ copy-on-write isolation
+
+/// Everything a write can change about table `t`.
+struct TableState {
+  std::vector<Row> rows;  ///< live rows in heap order
+  std::size_t index_entries = 0;
+  bool dead_slots = false;
+  bool index_ok = false;
+
+  bool operator==(const TableState&) const = default;
+};
+
+TableState state_of(const Engine& e) {
+  const Table* t = e.find_table("t");
+  TableState state;
+  for (Slot slot : t->scan_heap()) state.rows.push_back(t->row(slot));
+  state.index_entries = t->index_entries();
+  state.dead_slots = t->has_dead_slots();
+  state.index_ok = t->check_index();
+  return state;
+}
+
+/// Runs `write` once against a copy and once against the original. The
+/// other engine must be unchanged and still hold the table the two shared;
+/// the written engine's `t` has split off; `empty_t`, which nobody wrote
+/// to, is still shared.
+void expect_isolated(SqlFaultFlags flags,
+                     const std::function<void(Engine&)>& write) {
+  for (const bool write_copy : {true, false}) {
+    SCOPED_TRACE(write_copy ? "write to the copy" : "write to the original");
+    Engine original = make_engine(flags);
+    original.execute("DELETE FROM t WHERE id = 2");  // leave a dead slot
+    Engine copy = original;
+    const Table* shared = original.find_table("t");
+    ASSERT_EQ(copy.find_table("t"), shared);
+    const TableState before = state_of(original);
+
+    Engine& written = write_copy ? copy : original;
+    const Engine& untouched = write_copy ? original : copy;
+    write(written);
+
+    EXPECT_NE(state_of(written), before);
+    EXPECT_EQ(state_of(untouched), before);
+    EXPECT_EQ(untouched.find_table("t"), shared);
+    EXPECT_NE(written.find_table("t"), shared);
+    EXPECT_EQ(written.find_table("empty_t"), untouched.find_table("empty_t"));
+  }
+}
+
+TEST(SqlCopyOnWrite, InsertIsIsolated) {
+  expect_isolated({}, [](Engine& e) {
+    EXPECT_EQ(e.execute("INSERT INTO t VALUES (4, 'new')").status,
+              ExecStatus::kOk);
+  });
+}
+
+TEST(SqlCopyOnWrite, FixedUpdateIsIsolated) {
+  expect_isolated({}, [](Engine& e) {
+    EXPECT_EQ(e.execute("UPDATE t SET id = 7 WHERE id = 1").affected, 1);
+  });
+}
+
+TEST(SqlCopyOnWrite, BuggyUpdateIsIsolated) {
+  SqlFaultFlags flags;
+  flags.update_index_scan_bug = true;
+  expect_isolated(flags, [](Engine& e) {
+    EXPECT_EQ(e.execute("UPDATE t SET id = 999 WHERE id < 3").status,
+              ExecStatus::kCrash);
+    EXPECT_FALSE(e.find_table("t")->check_index());
+  });
+}
+
+TEST(SqlCopyOnWrite, DeleteIsIsolated) {
+  expect_isolated({}, [](Engine& e) {
+    EXPECT_EQ(e.execute("DELETE FROM t WHERE id = 3").affected, 1);
+  });
+}
+
+TEST(SqlCopyOnWrite, OptimizeIsIsolated) {
+  expect_isolated({}, [](Engine& e) {
+    EXPECT_EQ(e.execute("OPTIMIZE TABLE t").status, ExecStatus::kOk);
+    EXPECT_FALSE(e.find_table("t")->has_dead_slots());
+  });
+}
+
+TEST(SqlCopyOnWrite, MutableTableCompactIsIsolated) {
+  expect_isolated({}, [](Engine& e) { e.mutable_table("t")->compact(); });
+}
+
+TEST(SqlCopyOnWrite, ReadsAndNoOpWritesKeepSharing) {
+  auto e = make_engine();
+  Engine copy = e;
+  const Table* shared = e.find_table("t");
+  const char* const kStatements[] = {
+      "SELECT * FROM t WHERE id > 1 ORDER BY id",
+      "SELECT COUNT(*) FROM t",
+      "LOCK TABLES t WRITE; FLUSH TABLES; UNLOCK TABLES",
+      "DELETE FROM t WHERE id > 900",
+      "UPDATE t SET state = 'x' WHERE id > 900",
+      "INSERT INTO t VALUES (9)",  // arity mismatch
+      "UPDATE t SET nocol = 1",
+  };
+  for (const char* sql : kStatements) {
+    (void)e.execute(sql);
+    EXPECT_EQ(e.find_table("t"), shared) << sql;
+    EXPECT_EQ(copy.find_table("t"), shared) << sql;
+  }
+}
+
+TEST(SqlCopyOnWrite, SplitTableIsWrittenInPlace) {
+  auto e = make_engine();
+  const Engine copy = e;
+  e.execute("INSERT INTO t VALUES (4, 'a')");
+  const Table* split = e.find_table("t");
+  ASSERT_NE(split, copy.find_table("t"));
+  // Nobody else refers to the split table, so later writes do not clone.
+  e.execute("INSERT INTO t VALUES (5, 'b')");
+  e.execute("DELETE FROM t WHERE id = 1");
+  EXPECT_EQ(e.find_table("t"), split);
+  EXPECT_EQ(e.find_table("t")->row_count(), 4u);
+  EXPECT_EQ(copy.find_table("t")->row_count(), 3u);
+}
+
+TEST(SqlCopyOnWrite, MutableTableOfUnknownTableIsNull) {
+  auto e = make_engine();
+  EXPECT_EQ(e.mutable_table("nosuch"), nullptr);
 }
 
 // ---------------------------------------------- the five study bugs

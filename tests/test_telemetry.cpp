@@ -122,20 +122,6 @@ TEST(MetricsRegistry, MergeFromUnionsByName) {
   EXPECT_EQ(snap.gauges[0].value, 7);
 }
 
-TEST(Counters, MergeSumsCountersAndMaxesPeaks) {
-  telemetry::TrialCounters a;
-  telemetry::TrialCounters b;
-  a.proc_spawns = 2;
-  a.peak_procs = 5;
-  b.proc_spawns = 3;
-  b.peak_procs = 4;
-  b.recovery_attempts = 1;
-  merge(a, b);
-  EXPECT_EQ(a.proc_spawns, 5u);
-  EXPECT_EQ(a.peak_procs, 5u);
-  EXPECT_EQ(a.recovery_attempts, 1u);
-}
-
 // --- spans ----------------------------------------------------------------
 
 TEST(SpanTracer, SimSpansUseVirtualClock) {
