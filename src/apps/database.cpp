@@ -124,7 +124,7 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
       (void)e.dns().reverse(item.client_address, e.now());
     }
   } else {
-    const sql::ExecResult result = engine_.execute(item.op);
+    const sql::ExecResult result = execute(item.op);
     if (result.status == sql::ExecStatus::kCrash) {
       running_ = false;
       return {StepStatus::kCrash, result.message};
@@ -172,7 +172,7 @@ void Database::rejuvenate(env::Environment& e) {
   // alone, so it stays shared with the catalog or the last checkpoint.
   e.disk().truncate("/var/lib/mysql/mysql.log");
   e.disk().truncate(log_path_);
-  engine_.execute("UNLOCK TABLES");
+  execute("UNLOCK TABLES");
   for (const char* table : {"orders", "customers", "sessions", "audit_log"}) {
     const sql::Table* t = engine_.find_table(table);
     if (t != nullptr && t->has_dead_slots()) {
@@ -182,6 +182,16 @@ void Database::rejuvenate(env::Environment& e) {
   if (!e.network().port_bound(config_.listen_port)) {
     e.network().bind_port(config_.listen_port, "mysqld");
   }
+}
+
+sql::ExecResult Database::execute(const std::string& sql) {
+  auto it = prepared_.find(sql);
+  if (it == prepared_.end()) it = prepared_.emplace(sql, sql::parse(sql)).first;
+  const util::Result<std::vector<sql::Statement>>& statements = it->second;
+  if (!statements.ok()) {
+    return {sql::ExecStatus::kError, statements.error(), {}, 0};
+  }
+  return engine_.execute(statements.value());
 }
 
 std::uint64_t Database::rows(const std::string& table) const {

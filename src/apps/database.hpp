@@ -15,6 +15,10 @@
 //   mysql-ei-05  FLUSH TABLES after LOCK TABLES
 #pragma once
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "apps/app.hpp"
 #include "apps/sql/engine.hpp"
 
@@ -39,6 +43,10 @@ class Database final : public BaseApp {
   bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
+  /// Runs `sql` on this server's engine. Each distinct text is parsed once
+  /// per Database (parse errors included) and its statements are reused.
+  sql::ExecResult execute(const std::string& sql);
+
   std::uint64_t rows(const std::string& table) const;
   std::uint64_t queries_executed() const noexcept { return queries_; }
   const sql::Engine& engine() const noexcept { return engine_; }
@@ -50,6 +58,10 @@ class Database final : public BaseApp {
   DatabaseConfig config_;
   sql::Engine engine_;
   std::uint64_t queries_ = 0;
+  /// Statement text -> its parse. Not part of a snapshot: parsing depends
+  /// on the text alone, so entries never go stale.
+  std::unordered_map<std::string, util::Result<std::vector<sql::Statement>>>
+      prepared_;
 };
 
 }  // namespace faultstudy::apps

@@ -1,7 +1,6 @@
 #include "apps/sql/engine.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace faultstudy::apps::sql {
 
@@ -18,13 +17,71 @@ ExecResult error(std::string message) {
   r.message = std::move(message);
   return r;
 }
+
+/// Each predicate's column index in `schema`, -1 when unknown.
+std::vector<int> resolve(const Schema& schema,
+                         const std::vector<Predicate>& where) {
+  std::vector<int> columns;
+  columns.reserve(where.size());
+  for (const Predicate& p : where) columns.push_back(schema.find(p.column));
+  return columns;
+}
+
+/// `columns[i]` is where[i]'s column index in `row`, -1 when unknown.
+bool matches(const Row& row, const std::vector<Predicate>& where,
+             const std::vector<int>& columns, std::string* err) {
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    if (columns[i] < 0) {
+      *err = "unknown column " + where[i].column;
+      return false;
+    }
+    if (!evaluate(where[i].op, row[static_cast<std::size_t>(columns[i])],
+                  where[i].literal)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The slots of `table`'s live rows that satisfy every predicate, in heap
+/// order. WHERE columns are resolved once; when all resolve and one
+/// constrains column 0 with an op other than !=, only that index range is
+/// scanned, else the whole heap. Sets `err` and returns nothing when a
+/// scanned row reaches a predicate on an unknown column.
+std::vector<Slot> matching_slots(const Table& table,
+                                 const std::vector<Predicate>& where,
+                                 std::string* err) {
+  const std::vector<int> columns = resolve(table.schema(), where);
+  const Predicate* key = nullptr;
+  if (std::find(columns.begin(), columns.end(), -1) == columns.end()) {
+    for (std::size_t i = 0; i < where.size() && key == nullptr; ++i) {
+      if (columns[i] == 0 && where[i].op != CompareOp::kNe) key = &where[i];
+    }
+  }
+  // Index candidates come in heap order, so hits (and ORDER BY ties) keep
+  // the order a heap scan gives.
+  std::vector<Slot> slots = key != nullptr
+                                ? table.index_range(key->op, key->literal)
+                                : table.scan_heap();
+  std::size_t kept = 0;
+  for (const Slot slot : slots) {
+    if (matches(table.row(slot), where, columns, err)) slots[kept++] = slot;
+    if (!err->empty()) return {};
+  }
+  slots.resize(kept);
+  return slots;
+}
 }  // namespace
 
 ExecResult Engine::execute(std::string_view sql) {
-  auto statements = parse(sql);
+  const auto statements = parse(sql);
   if (!statements.ok()) return error(statements.error());
+  return execute(statements.value());
+}
+
+ExecResult Engine::execute(const std::vector<Statement>& statements) {
   ExecResult last;
-  for (const Statement& statement : statements.value()) {
+  for (const Statement& statement : statements) {
     last = run(statement);
     if (last.status != ExecStatus::kOk) return last;
   }
@@ -65,23 +122,6 @@ Table* Engine::mutable_table(const std::string& name) {
   return table.get();
 }
 
-bool Engine::matches(const Table& table, Slot slot,
-                     const std::vector<Predicate>& where,
-                     std::string* err) const {
-  for (const Predicate& p : where) {
-    const int col = table.schema().find(p.column);
-    if (col < 0) {
-      if (err != nullptr) *err = "unknown column " + p.column;
-      return false;
-    }
-    if (!evaluate(p.op, table.row(slot)[static_cast<std::size_t>(col)],
-                  p.literal)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ExecResult Engine::run_select(const SelectStatement& s) {
   const Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
@@ -99,11 +139,8 @@ ExecResult Engine::run_select(const SelectStatement& s) {
   }
 
   std::string err;
-  std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
-    if (!err.empty()) return error(err);
-  }
+  std::vector<Slot> hits = matching_slots(*table, s.where, &err);
+  if (!err.empty()) return error(err);
 
   if (s.count_star) {
     if (flags_.count_on_empty_crash && hits.empty()) {
@@ -131,6 +168,14 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     });
   }
 
+  // Projection columns resolve once; an unknown one is an error only if
+  // some row is projected.
+  std::vector<int> projection;
+  const std::string* unknown = nullptr;
+  for (const auto& name : s.columns) {
+    projection.push_back(table->schema().find(name));
+    if (projection.back() < 0 && unknown == nullptr) unknown = &name;
+  }
   ExecResult r;
   const std::size_t limit =
       s.limit.has_value() ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
@@ -140,10 +185,10 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     if (s.columns.empty()) {
       r.rows.push_back(row);
     } else {
+      if (unknown != nullptr) return error("unknown column " + *unknown);
       Row projected;
-      for (const auto& name : s.columns) {
-        const int col = table->schema().find(name);
-        if (col < 0) return error("unknown column " + name);
+      projected.reserve(projection.size());
+      for (const int col : projection) {
         projected.push_back(row[static_cast<std::size_t>(col)]);
       }
       r.rows.push_back(std::move(projected));
@@ -178,11 +223,12 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
     // (duplicate values in the index); the post-statement consistency
     // check fires and the server dies. ---
     Table* table = mutable_table(s.table);
+    const std::vector<int> columns = resolve(table->schema(), s.where);
     std::int64_t touched = 0;
     for (auto cursor = table->index_scan(); !cursor.done(); cursor.next()) {
       const Slot slot = cursor.slot();
       if (!table->is_live(slot)) continue;
-      if (!matches(*table, slot, s.where, &err)) {
+      if (!matches(table->row(slot), s.where, columns, &err)) {
         if (!err.empty()) return error(err);
         continue;
       }
@@ -203,13 +249,15 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   }
 
   // The fixed algorithm (the paper's fix): "first scanning for all matching
-  // rows and then updating the found rows".
-  std::vector<Slot> hits;
-  for (Slot slot : found->scan_heap()) {
-    if (matches(*found, slot, s.where, &err)) hits.push_back(slot);
-    if (!err.empty()) return error(err);
-  }
-  if (!hits.empty()) {
+  // rows and then updating the found rows". When no matched cell would
+  // change, the table is not written, so it stays shared.
+  const std::vector<Slot> hits = matching_slots(*found, s.where, &err);
+  if (!err.empty()) return error(err);
+  const auto changes = [&](Slot slot) {
+    return compare(found->row(slot)[static_cast<std::size_t>(col)],
+                   s.value) != 0;
+  };
+  if (std::any_of(hits.begin(), hits.end(), changes)) {
     Table* table = mutable_table(s.table);
     for (Slot slot : hits) table->update_cell(slot, col, s.value);
   }
@@ -222,11 +270,8 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
   const Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
   std::string err;
-  std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
-    if (!err.empty()) return error(err);
-  }
+  const std::vector<Slot> hits = matching_slots(*table, s.where, &err);
+  if (!err.empty()) return error(err);
   if (!hits.empty()) {
     Table* target = mutable_table(s.table);
     for (Slot slot : hits) target->erase(slot);

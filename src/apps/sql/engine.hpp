@@ -77,6 +77,10 @@ class Engine {
   /// error or crash. Returns the last statement's result.
   ExecResult execute(std::string_view sql);
 
+  /// Runs already parsed statements the same way (a prepared statement
+  /// list: parsing depends on the text alone, not on the tables).
+  ExecResult execute(const std::vector<Statement>& statements);
+
   /// Direct statement execution (parser bypass, used by tests).
   ExecResult run(const Statement& statement);
 
@@ -97,8 +101,6 @@ class Engine {
   ExecResult run_create(const CreateStatement& s);
   ExecResult run_admin(const AdminStatement& s);
 
-  bool matches(const Table& table, Slot slot,
-               const std::vector<Predicate>& where, std::string* error) const;
 
   std::map<std::string, std::shared_ptr<Table>> tables_;
   std::string locked_table_;

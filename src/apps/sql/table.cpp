@@ -1,5 +1,8 @@
 #include "apps/sql/table.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 namespace faultstudy::apps::sql {
 
 Slot Table::insert(Row row) {
@@ -62,6 +65,37 @@ std::vector<Slot> Table::scan_heap() const {
 
 Table::IndexCursor Table::index_scan() const {
   return IndexCursor(index_.begin(), index_.end());
+}
+
+std::vector<Slot> Table::index_range(CompareOp op, const Value& key) const {
+  auto lo = index_.begin();
+  auto hi = index_.end();
+  switch (op) {
+    case CompareOp::kEq:
+      std::tie(lo, hi) = index_.equal_range(key);
+      break;
+    case CompareOp::kLt:
+      hi = index_.lower_bound(key);
+      break;
+    case CompareOp::kLe:
+      hi = index_.upper_bound(key);
+      break;
+    case CompareOp::kGt:
+      lo = index_.upper_bound(key);
+      break;
+    case CompareOp::kGe:
+      lo = index_.lower_bound(key);
+      break;
+    case CompareOp::kNe:
+      break;
+  }
+  std::vector<Slot> out;
+  for (auto it = lo; it != hi; ++it) {
+    if (is_live(it->second)) out.push_back(it->second);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 bool Table::check_index() const {

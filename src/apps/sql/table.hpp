@@ -64,6 +64,12 @@ class Table {
 
   IndexCursor index_scan() const;
 
+  /// The live slots the index lists under a key k with `k op key` (op is
+  /// not kNe), in heap order, each once. Exact on an index the mysql-ei-01
+  /// bug corrupted too: a stale entry adds a candidate whose row no longer
+  /// matches, so callers still evaluate their predicates on every slot.
+  std::vector<Slot> index_range(CompareOp op, const Value& key) const;
+
   /// Index entries per key value (tests use this to detect the planted
   /// duplicate-key corruption).
   std::size_t index_entries() const noexcept { return index_.size(); }

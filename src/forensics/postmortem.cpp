@@ -1,6 +1,7 @@
 #include "forensics/postmortem.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "analysis/invariant_checker.hpp"
 #include "analysis/race_detector.hpp"
@@ -108,6 +109,17 @@ bool is_resource_transition(FlightCode code) noexcept {
   }
 }
 
+/// The parts back to back in one string, allocated once: a post-mortem is
+/// built for every failed trial of a matrix.
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
+
 std::string_view step_status_name(std::uint64_t status) noexcept {
   switch (static_cast<apps::StepStatus>(status)) {
     case apps::StepStatus::kOk: return "ok";
@@ -137,6 +149,7 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   pm.env_state = capture_env_state(environment);
   pm.events = ring.chronological();
   pm.events_dropped = ring.dropped();
+  pm.chain.reserve(8);  // one link per stage, plus a few propagation links
 
   // -- injection --------------------------------------------------------
   env::Tick armed_at = 0;
@@ -147,10 +160,9 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   }
   pm.chain.push_back(
       {ChainStage::kInjection, armed_at,
-       "fault " + pm.fault_id + " (" +
-           std::string(core::to_string(pm.trigger)) + ", " +
-           std::string(core::to_string(pm.fault_class)) + ") armed into " +
-           std::string(core::to_string(pm.app))});
+       concat({"fault ", pm.fault_id, " (", core::to_string(pm.trigger), ", ",
+               core::to_string(pm.fault_class), ") armed into ",
+               core::to_string(pm.app)})});
 
   // -- propagation: resource transitions before the first item failure --
   const FlightEvent* first_error = nullptr;
@@ -171,16 +183,15 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
     bool seen = false;
     for (const CausalLink& link : pm.chain) {
       if (link.stage == ChainStage::kPropagation &&
-          link.description.starts_with(std::string(to_string(e.code)))) {
+          link.description.starts_with(to_string(e.code))) {
         seen = true;
         break;
       }
     }
     if (seen) continue;
     pm.chain.push_back({ChainStage::kPropagation, e.at,
-                        std::string(to_string(e.code)) + " (a=" +
-                            std::to_string(e.a) + ", b=" +
-                            std::to_string(e.b) + ")"});
+                        concat({to_string(e.code), " (a=", std::to_string(e.a),
+                                ", b=", std::to_string(e.b), ")"})});
   }
   if (transitions == 0) {
     pm.chain.push_back({ChainStage::kPropagation,
@@ -191,11 +202,11 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
 
   // -- first observable error -------------------------------------------
   if (first_error != nullptr) {
-    std::string desc = "item " + std::to_string(first_error->a) + " failed (" +
-                       std::string(step_status_name(first_error->b)) + ")";
-    if (!pm.first_failure.empty()) desc += ": " + pm.first_failure;
-    pm.chain.push_back({ChainStage::kFirstError, first_error->at,
-                        std::move(desc)});
+    pm.chain.push_back(
+        {ChainStage::kFirstError, first_error->at,
+         concat({"item ", std::to_string(first_error->a), " failed (",
+                 step_status_name(first_error->b), ")",
+                 pm.first_failure.empty() ? "" : ": ", pm.first_failure})});
   } else if (!pm.first_failure.empty()) {
     // The ring may have lost the first failure to overwriting (or the app
     // never started); the harness-preserved detail still anchors the stage.
@@ -205,8 +216,8 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   // -- detection ---------------------------------------------------------
   pm.chain.push_back({ChainStage::kDetection,
                       first_error != nullptr ? first_error->at : pm.ended_at,
-                      "harness observed " + std::to_string(pm.failures) +
-                          " failure(s) over the trial"});
+                      concat({"harness observed ", std::to_string(pm.failures),
+                              " failure(s) over the trial"})});
   if (inputs.transcript != nullptr) {
     pm.invariant_violations =
         analysis::check_transcript(*inputs.transcript).size();
@@ -220,10 +231,10 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   if (pm.analyzed) {
     pm.chain.push_back(
         {ChainStage::kDetection, pm.ended_at,
-         "detectors: " + std::to_string(pm.race_reports) +
-             " happens-before race report(s), " +
-             std::to_string(pm.invariant_violations) +
-             " transcript invariant violation(s)"});
+         concat({"detectors: ", std::to_string(pm.race_reports),
+                 " happens-before race report(s), ",
+                 std::to_string(pm.invariant_violations),
+                 " transcript invariant violation(s)"})});
   }
 
   // -- recovery ----------------------------------------------------------
@@ -241,21 +252,16 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   }
   pm.chain.push_back(
       {ChainStage::kRecovery, last_recovery_at,
-       pm.mechanism + " recovered " + std::to_string(recoveries_ok) + "/" +
-           std::to_string(pm.recoveries) + " time(s), rewinding " +
-           std::to_string(items_rewound) + " item(s)"});
+       concat({pm.mechanism, " recovered ", std::to_string(recoveries_ok), "/",
+               std::to_string(pm.recoveries), " time(s), rewinding ",
+               std::to_string(items_rewound), " item(s)"})});
 
   // -- outcome -----------------------------------------------------------
   pm.chain.push_back({ChainStage::kOutcome, pm.ended_at,
-                      "trial ended: " + std::string(to_string(pm.verdict))});
-
-  // Stages were appended in causal order already; a stable sort by stage
-  // keeps ties (multiple propagation/detection links) in recording order.
-  std::stable_sort(pm.chain.begin(), pm.chain.end(),
-                   [](const CausalLink& x, const CausalLink& y) {
-                     return static_cast<int>(x.stage) <
-                            static_cast<int>(y.stage);
-                   });
+                      concat({"trial ended: ", to_string(pm.verdict)})});
+  // The stages above are appended in stage order, ties (several
+  // propagation or detection links) in recording order: the chain is
+  // sorted by construction.
   return pm;
 }
 

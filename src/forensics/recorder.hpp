@@ -109,18 +109,24 @@ inline constexpr std::size_t kDefaultRingCapacity = 256;
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = kDefaultRingCapacity)
-      : ring_(capacity > 0 ? capacity : 1) {}
+      : ring_(capacity > 0 ? capacity : 1),
+        lane_(static_cast<std::uint32_t>(util::current_lane())) {}
 
-  /// Stamps subsequent events with this simulated clock. The clock must
-  /// outlive the recording phase; unbound recorders stamp tick 0.
-  void bind_clock(const env::VirtualClock* clock) noexcept { clock_ = clock; }
+  /// Stamps subsequent events with this simulated clock and the calling
+  /// thread's lane (a trial records on the lane that binds its ring). The
+  /// clock must outlive the recording phase; unbound recorders stamp tick 0.
+  void bind_clock(const env::VirtualClock* clock) noexcept {
+    clock_ = clock;
+    lane_ = static_cast<std::uint32_t>(util::current_lane());
+  }
 
   /// Appends an event, overwriting the oldest when the ring is full.
   void record(FlightCode code, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept {
-    FlightEvent& slot = ring_[total_ % ring_.size()];
+    FlightEvent& slot = ring_[next_];
+    if (++next_ == ring_.size()) next_ = 0;
     slot.code = code;
-    slot.lane = static_cast<std::uint32_t>(util::current_lane());
+    slot.lane = lane_;
     slot.at = clock_ != nullptr ? clock_->now() : 0;
     slot.a = a;
     slot.b = b;
@@ -153,12 +159,17 @@ class FlightRecorder {
     return out;
   }
 
-  void clear() noexcept { total_ = 0; }
+  void clear() noexcept {
+    total_ = 0;
+    next_ = 0;
+  }
 
  private:
   std::vector<FlightEvent> ring_;
+  std::size_t next_ = 0;  ///< the slot the next event overwrites
   std::uint64_t total_ = 0;
   const env::VirtualClock* clock_ = nullptr;
+  std::uint32_t lane_ = 0;
 };
 
 }  // namespace faultstudy::forensics

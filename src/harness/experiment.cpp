@@ -383,18 +383,26 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
           votes.telem = std::make_unique<telemetry::TrialTelemetry>();
           sinks.telemetry = votes.telem.get();
         }
-        std::optional<forensics::TrialForensics> trial_forensics;
-        if (forensics != nullptr) sinks.forensics = &trial_forensics.emplace();
+        // One flight ring per lane, cleared before every trial: a fresh
+        // ring per cell would be a large allocation every time.
+        static thread_local forensics::TrialForensics lane_forensics;
+        if (forensics != nullptr) {
+          sinks.forensics = &lane_forensics;
+          // Sized once: grown one fate at a time, the vector reallocates
+          // past the 1 KiB at which glibc's malloc consolidates its fast
+          // bins (DESIGN.md §9).
+          votes.fates.reserve(static_cast<std::size_t>(repeats));
+        }
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
           tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
                     util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
-          if (trial_forensics) trial_forensics->ring.clear();
+          if (sinks.forensics != nullptr) lane_forensics.ring.clear();
           const TrialOutcome outcome = run_trial(plan, *mechanism, tc, sinks);
-          if (trial_forensics) {
-            auto& postmortem = trial_forensics->postmortem;
+          if (sinks.forensics != nullptr) {
+            auto& postmortem = lane_forensics.postmortem;
             if (postmortem.has_value()) postmortem->repeat = r;
             votes.fates.push_back({outcome.survived, std::move(postmortem)});
             postmortem.reset();
@@ -410,6 +418,13 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
 
   // Serial index-order reduction: the survival tables, then each cell's
   // views folded into the study aggregates.
+  if (forensics != nullptr) {
+    std::size_t failed = forensics->postmortems.size();
+    for (const CellVotes& votes : cells) {
+      for (const auto& fate : votes.fates) failed += fate.postmortem.has_value();
+    }
+    forensics->postmortems.reserve(failed);
+  }
   for (std::size_t m = 0; m < mechanisms.size(); ++m) {
     MechanismReport report;
     report.mechanism = mechanisms[m].name;

@@ -18,10 +18,10 @@
 // explorer, the atlas and the baseline are keyed by their names and order);
 // Event is internal and may be renumbered freely.
 //
-// Cost model: emit is inline and every call site passes a constant event,
-// so the rule lookup folds away and each site compiles to the stores its
-// rule names, behind one null check of the observer pointer (detached, the
-// default) and one per attached view. DESIGN.md §9 has the measurements.
+// Cost model: emit is always inlined and every call site passes a constant
+// event, so the rule lookup folds away and each site compiles to the stores
+// its rule names, behind one null check of the observer pointer (detached,
+// the default) and one per attached view. DESIGN.md §9 has the measurements.
 //
 // Determinism contract: a trial is single-threaded and owns its observers,
 // so counters, ring contents and probe counts are simulation state —
@@ -290,7 +290,11 @@ struct TrialObservers {
   forensics::FlightRecorder* flight = nullptr;
   CoverageMap* coverage = nullptr;
 
-  void emit(Event event, std::uint64_t a, std::uint64_t b) noexcept {
+  // Always inlined: out of line (GCC outlines it as too large), the rule
+  // becomes a run-time table walk at every one of the stream's million-odd
+  // events per matrix instead of a constant-folded store or two.
+  [[gnu::always_inline]] void emit(Event event, std::uint64_t a,
+                                   std::uint64_t b) noexcept {
     const EventRule& r = kEventRules[static_cast<std::size_t>(event)];
     if (telemetry != nullptr) {
       telemetry::TrialCounters& c = telemetry->counters;
@@ -318,8 +322,9 @@ struct TrialObservers {
 
 /// The one hook call: routes `event` to every view attached to `sink`;
 /// a null sink (nothing observing) is a no-op.
-inline void emit(TrialObservers* sink, Event event, std::uint64_t a = 0,
-                 std::uint64_t b = 0) noexcept {
+[[gnu::always_inline]] inline void emit(TrialObservers* sink, Event event,
+                                       std::uint64_t a = 0,
+                                       std::uint64_t b = 0) noexcept {
   if (sink != nullptr) sink->emit(event, a, b);
 }
 

@@ -7,13 +7,6 @@ namespace faultstudy::telemetry {
 Histogram::Histogram(std::vector<std::int64_t> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {}
 
-void Histogram::observe(std::int64_t value) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += value;
-}
-
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
   if (counts_.empty()) {
@@ -55,51 +48,84 @@ std::vector<std::int64_t> default_micros_bounds() {
           500,  1000, 2000,  5000,  10000, 20000,  50000,  100000};
 }
 
+namespace {
+/// Initial capacity of a registry's tables, in metrics. A matrix cell
+/// registers a few dozen; the tables stay below the 1 KiB at which glibc's
+/// malloc consolidates its fast bins, which a registry built per cell would
+/// otherwise trigger every time.
+constexpr std::size_t kTypicalMetrics = 32;
+}  // namespace
+
+std::string_view MetricsRegistry::NameTable::operator[](
+    std::size_t id) const noexcept {
+  const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
+  return std::string_view(chars_).substr(begin, ends_[id] - begin);
+}
+
+std::uint32_t MetricsRegistry::NameTable::intern(std::string_view name,
+                                                 bool& added) {
+  const auto count = static_cast<std::uint32_t>(ends_.size());
+  for (std::uint32_t id = 0; id < count; ++id) {
+    if ((*this)[id] == name) {
+      added = false;
+      return id;
+    }
+  }
+  if (ends_.empty()) {
+    chars_.reserve(kTypicalMetrics * 24);
+    ends_.reserve(kTypicalMetrics);
+  }
+  chars_.append(name);
+  ends_.push_back(static_cast<std::uint32_t>(chars_.size()));
+  added = true;
+  return count;
+}
+
 MetricsRegistry::MetricsRegistry(std::size_t shards)
     : shards_(shards == 0 ? 1 : shards) {}
 
 CounterId MetricsRegistry::counter(std::string_view name) {
-  const auto it = counter_ids_.find(name);
-  if (it != counter_ids_.end()) return {it->second};
-  const auto index = static_cast<std::uint32_t>(counter_names_.size());
-  counter_names_.emplace_back(name);
-  counter_cells_.resize(counter_cells_.size() + shards_);
-  counter_ids_.emplace(std::string(name), index);
+  bool added = false;
+  const std::uint32_t index = counter_names_.intern(name, added);
+  if (added) {
+    const std::size_t slots = shards_ * stride<CounterCell>();
+    if (counter_cells_.empty()) counter_cells_.reserve(kTypicalMetrics * slots);
+    counter_cells_.resize(counter_cells_.size() + slots);
+  }
   return {index};
 }
 
 GaugeId MetricsRegistry::gauge(std::string_view name) {
-  const auto it = gauge_ids_.find(name);
-  if (it != gauge_ids_.end()) return {it->second};
-  const auto index = static_cast<std::uint32_t>(gauge_names_.size());
-  gauge_names_.emplace_back(name);
-  gauge_cells_.resize(gauge_cells_.size() + shards_);
-  gauge_ids_.emplace(std::string(name), index);
+  bool added = false;
+  const std::uint32_t index = gauge_names_.intern(name, added);
+  if (added) {
+    const std::size_t slots = shards_ * stride<GaugeCell>();
+    if (gauge_cells_.empty()) gauge_cells_.reserve(kTypicalMetrics * slots);
+    gauge_cells_.resize(gauge_cells_.size() + slots);
+  }
   return {index};
 }
 
 HistogramId MetricsRegistry::histogram(
     std::string_view name, const std::vector<std::int64_t>& bounds) {
-  const auto it = histogram_ids_.find(name);
-  if (it != histogram_ids_.end()) return {it->second};
-  const auto index = static_cast<std::uint32_t>(histograms_.size());
-  HistMetric metric;
-  metric.name = std::string(name);
-  metric.bounds = bounds;
-  metric.cells.assign(shards_, Histogram(metric.bounds));
-  histograms_.push_back(std::move(metric));
-  histogram_ids_.emplace(std::string(name), index);
+  bool added = false;
+  const std::uint32_t index = histogram_names_.intern(name, added);
+  if (added) {
+    std::vector<Histogram>& cells = histograms_.emplace_back();
+    cells.reserve(shards_);
+    for (std::size_t s = 0; s < shards_; ++s) cells.emplace_back(bounds);
+  }
   return {index};
 }
 
 void MetricsRegistry::add(CounterId id, std::uint64_t n,
                           std::size_t shard) noexcept {
-  counter_cells_[cell(id.index, shard)].value += n;
+  counter_cells_[cell<CounterCell>(id.index, shard)].value += n;
 }
 
 void MetricsRegistry::peak(GaugeId id, std::int64_t value,
                            std::size_t shard) noexcept {
-  GaugeCell& high = gauge_cells_[cell(id.index, shard)];
+  GaugeCell& high = gauge_cells_[cell<GaugeCell>(id.index, shard)];
   if (!high.set || value > high.high) {
     high.high = value;
     high.set = true;
@@ -108,18 +134,18 @@ void MetricsRegistry::peak(GaugeId id, std::int64_t value,
 
 void MetricsRegistry::observe(HistogramId id, std::int64_t value,
                               std::size_t shard) noexcept {
-  histograms_[id.index].cells[shard < shards_ ? shard : 0].observe(value);
+  histograms_[id.index][shard < shards_ ? shard : 0].observe(value);
 }
 
 void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h,
                                       std::size_t shard) {
-  histograms_[id.index].cells[shard < shards_ ? shard : 0].merge(h);
+  histograms_[id.index][shard < shards_ ? shard : 0].merge(h);
 }
 
 std::uint64_t MetricsRegistry::counter_total(std::size_t index) const noexcept {
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < shards_; ++s) {
-    total += counter_cells_[index * shards_ + s].value;
+    total += counter_cells_[cell<CounterCell>(index, s)].value;
   }
   return total;
 }
@@ -128,7 +154,7 @@ MetricsRegistry::GaugeCell MetricsRegistry::gauge_high(
     std::size_t index) const noexcept {
   GaugeCell high;
   for (std::size_t s = 0; s < shards_; ++s) {
-    const GaugeCell& shard_high = gauge_cells_[index * shards_ + s];
+    const GaugeCell& shard_high = gauge_cells_[cell<GaugeCell>(index, s)];
     if (shard_high.set && (!high.set || shard_high.high > high.high)) {
       high = shard_high;
     }
@@ -145,9 +171,11 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
     const GaugeCell high = other.gauge_high(i);
     if (high.set) peak(gauge(other.gauge_names_[i]), high.high);
   }
-  for (const auto& m : other.histograms_) {
-    const HistogramId id = histogram(m.name, m.bounds);
-    for (const auto& cell : m.cells) merge_histogram(id, cell);
+  for (std::size_t i = 0; i < other.histograms_.size(); ++i) {
+    const std::vector<Histogram>& cells = other.histograms_[i];
+    const HistogramId id =
+        histogram(other.histogram_names_[i], cells.front().bounds());
+    for (const auto& cell : cells) merge_histogram(id, cell);
   }
 }
 
@@ -155,17 +183,19 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counter_names_.size());
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    snap.counters.push_back({counter_names_[i], counter_total(i)});
+    snap.counters.push_back({std::string(counter_names_[i]), counter_total(i)});
   }
   snap.gauges.reserve(gauge_names_.size());
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    snap.gauges.push_back({gauge_names_[i], gauge_high(i).high});
+    snap.gauges.push_back({std::string(gauge_names_[i]), gauge_high(i).high});
   }
   snap.histograms.reserve(histograms_.size());
-  for (const auto& m : histograms_) {
-    Histogram folded(m.bounds);
-    for (const auto& cell : m.cells) folded.merge(cell);
-    snap.histograms.push_back({m.name, m.bounds, folded.buckets(),
+  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+    const std::vector<Histogram>& cells = histograms_[i];
+    Histogram folded(cells.front().bounds());
+    for (const auto& cell : cells) folded.merge(cell);
+    snap.histograms.push_back({std::string(histogram_names_[i]),
+                               folded.bounds(), folded.buckets(),
                                folded.count(), folded.sum()});
   }
   const auto by_name = [](const auto& a, const auto& b) {

@@ -21,10 +21,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace faultstudy::telemetry {
@@ -47,7 +45,16 @@ class Histogram {
   Histogram() = default;
   explicit Histogram(std::vector<std::int64_t> bounds);
 
-  void observe(std::int64_t value) noexcept;
+  /// Counts `value` in the first bucket whose bound is >= it. A linear
+  /// scan: the trial event stream observes every workload item, and item
+  /// latencies sit in the first few buckets.
+  void observe(std::int64_t value) noexcept {
+    std::size_t bucket = 0;
+    while (bucket < bounds_.size() && bounds_[bucket] < value) ++bucket;
+    ++counts_[bucket];
+    ++count_;
+    sum_ += value;
+  }
   void merge(const Histogram& other);
 
   /// Reconstructs a histogram from pre-counted buckets (e.g. converting a
@@ -145,51 +152,54 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
  private:
-  // One cache line per shard slot so concurrent lanes never false-share.
-  struct alignas(64) CounterCell {
+  struct CounterCell {
     std::uint64_t value = 0;
   };
-  struct alignas(64) GaugeCell {
+  struct GaugeCell {
     std::int64_t high = 0;
     bool set = false;
   };
 
-  struct HistMetric {
-    std::string name;
-    std::vector<std::int64_t> bounds;
-    std::vector<Histogram> cells;
+  /// The names of one kind of metric, stored back to back. Registering a
+  /// name allocates only when a table grows (a registry holds a few dozen
+  /// names, so a fresh one sizes its tables once); a lookup scans them.
+  class NameTable {
+   public:
+    std::size_t size() const noexcept { return ends_.size(); }
+    std::string_view operator[](std::size_t id) const noexcept;
+    /// The id of `name`; a new name gets the next id and sets `added`.
+    std::uint32_t intern(std::string_view name, bool& added);
+
+   private:
+    std::string chars_;
+    std::vector<std::uint32_t> ends_;  ///< name i ends at chars_[ends_[i]]
   };
 
-  /// Name -> index, looked up by string_view without building a string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const noexcept {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  using NameIds = std::unordered_map<std::string, std::uint32_t, NameHash,
-                                     std::equal_to<>>;
-
+  /// Cells per shard slot: with more than one shard, slots sit a cache
+  /// line apart so concurrent lanes never false-share; a single-shard
+  /// registry (every registry the study builds) packs them.
+  template <typename Cell>
+  std::size_t stride() const noexcept {
+    return shards_ > 1 ? 64 / sizeof(Cell) : 1;
+  }
   /// Flat index of a counter or gauge cell; out-of-range shards write 0.
-  std::size_t cell(std::uint32_t index, std::size_t shard) const noexcept {
-    return index * shards_ + (shard < shards_ ? shard : 0);
+  template <typename Cell>
+  std::size_t cell(std::size_t index, std::size_t shard) const noexcept {
+    return (index * shards_ + (shard < shards_ ? shard : 0)) * stride<Cell>();
   }
   std::uint64_t counter_total(std::size_t index) const noexcept;
   /// The gauge's high-watermark over shards; `set` is false if never raised.
   GaugeCell gauge_high(std::size_t index) const noexcept;
 
   std::size_t shards_;
-  // Counter and gauge cells are stored flat, shards_ per metric (metric i,
-  // shard s at [i * shards_ + s]), so registering one allocates only when
-  // a vector grows.
-  std::vector<std::string> counter_names_;
+  // Counter and gauge cells are stored flat, shards_ slots per metric (see
+  // cell()), so registering one allocates only when a vector grows.
+  NameTable counter_names_;
   std::vector<CounterCell> counter_cells_;
-  std::vector<std::string> gauge_names_;
+  NameTable gauge_names_;
   std::vector<GaugeCell> gauge_cells_;
-  std::vector<HistMetric> histograms_;
-  NameIds counter_ids_;
-  NameIds gauge_ids_;
-  NameIds histogram_ids_;
+  NameTable histogram_names_;
+  std::vector<std::vector<Histogram>> histograms_;  ///< shards_ cells each
 };
 
 }  // namespace faultstudy::telemetry

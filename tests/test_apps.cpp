@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/database.hpp"
 #include "apps/desktop.hpp"
 #include "apps/webserver.hpp"
+#include "apps/workload.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faultstudy::apps {
 namespace {
@@ -159,6 +163,113 @@ TEST(Database, RejuvenationCompactsOnlyTablesWithDeadSlots) {
             fresh.engine().find_table("customers"));
   EXPECT_EQ(db.engine().find_table("orders"),
             fresh.engine().find_table("orders"));
+}
+
+TEST(Database, MalformedOpErrorsLikeTheEngine) {
+  env::Environment e;
+  Database db;
+  ASSERT_TRUE(db.start(e));
+  for (const char* op :
+       {"SELEC * FROM orders", "SELECT * FROM orders WHERE",
+        "UPDATE orders SET id = 99999999999999999999", "SELECT 'open",
+        "SELECT * FROM nosuch"}) {
+    SCOPED_TRACE(op);
+    sql::Engine engine;
+    const sql::ExecResult direct = engine.execute(op);
+    ASSERT_EQ(direct.status, sql::ExecStatus::kError);
+    for (int run = 0; run < 2; ++run) {  // parsed, then from the cache
+      const sql::ExecResult through_db = db.execute(op);
+      EXPECT_EQ(through_db.status, sql::ExecStatus::kError);
+      EXPECT_EQ(through_db.message, direct.message);
+    }
+    // A rejected statement is the client's problem, not a server failure.
+    EXPECT_FALSE(is_failure(db.handle(item(op), e)));
+    EXPECT_TRUE(db.running());
+  }
+}
+
+TEST(Database, PoisonOpsCrashAfterRunningUnarmed) {
+  const std::pair<const char*, const char*> kPoison[] = {
+      {"mysql-ei-01", "UPDATE orders SET id = 999999 WHERE id < 100"},
+      {"mysql-ei-02", "SELECT * FROM orders WHERE id > 999999 ORDER BY id"},
+      {"mysql-ei-03", "SELECT COUNT(*) FROM audit_log"},
+      {"mysql-ei-04", "OPTIMIZE TABLE orders"},
+      {"mysql-ei-05", "LOCK TABLES orders WRITE; FLUSH TABLES"},
+  };
+  for (const auto& [fault_id, op] : kPoison) {
+    SCOPED_TRACE(fault_id);
+    // The same server first runs the op unarmed, so its statements are
+    // already prepared when the armed run comes.
+    env::Environment e;
+    Database db;
+    ASSERT_TRUE(db.start(e));
+    EXPECT_FALSE(is_failure(db.handle(item(op), e)));
+    db.stop(e);
+    ActiveFault fault;
+    fault.trigger = core::Trigger::kBoundaryInput;
+    fault.fault_id = fault_id;
+    db.arm_fault(fault);
+    ASSERT_TRUE(db.start(e));
+    EXPECT_EQ(db.handle(item(op), e).status, StepStatus::kCrash);
+
+    // A second server in the same process, armed from the start.
+    env::Environment e2;
+    Database armed;
+    armed.arm_fault(fault);
+    ASSERT_TRUE(armed.start(e2));
+    EXPECT_EQ(armed.handle(item(op), e2).status, StepStatus::kCrash);
+  }
+}
+
+/// Every table's live rows, rendered, after `cycles` passes over a seeded
+/// MySQL workload with a checkpoint after the first pass and a restore to
+/// it after the second.
+std::string run_database_workload(std::uint64_t seed, int cycles) {
+  WorkloadSpec spec;
+  spec.seed = seed;
+  spec.poison_at = -1;
+  const Workload workload = make_workload(core::AppId::kMysql, spec);
+  env::Environment e;
+  Database db;
+  if (!db.start(e)) return "start failed";
+  SnapshotPtr checkpoint;
+  std::string out;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (const WorkItem& w : workload.items) {
+      out += is_failure(db.handle(w, e)) ? 'F' : '.';
+    }
+    if (cycle == 0) checkpoint = db.snapshot();
+    if (cycle == 1 && !db.restore(checkpoint, e)) return "restore failed";
+  }
+  for (const char* name : {"orders", "customers", "sessions", "audit_log"}) {
+    const sql::Table* table = db.engine().find_table(name);
+    out += std::string("\n") + name + ":";
+    for (const sql::Slot slot : table->scan_heap()) {
+      for (const sql::Value& v : table->row(slot)) {
+        out += " " + sql::to_string(v);
+      }
+      out += ";";
+    }
+  }
+  return out;
+}
+
+TEST(Database, FourLanesFromTheSharedCatalogMatchOneLane) {
+  constexpr std::size_t kServers = 12;
+  const auto run = [](std::size_t lanes) {
+    return util::parallel_map<std::string>(
+        kServers, lanes,
+        [](std::size_t i) { return run_database_workload(i + 1, 3); });
+  };
+  const std::vector<std::string> one_lane = run(1);
+  EXPECT_EQ(run(4), one_lane);
+  EXPECT_NE(one_lane[0], one_lane[1]);  // the seeds give distinct workloads
+  // Nobody wrote to the shared catalog.
+  env::Environment e;
+  Database fresh;
+  ASSERT_TRUE(fresh.start(e));
+  EXPECT_EQ(fresh.rows("orders"), 200u);
+  EXPECT_EQ(fresh.rows("sessions"), 20u);
 }
 
 TEST(Desktop, LifecycleAndWindows) {

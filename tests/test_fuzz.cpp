@@ -1,15 +1,23 @@
 // Robustness property tests: with no fault armed, the engines must never
 // crash — arbitrary inputs may be rejected (kError / kBadRequest / ignored)
 // but a kCrash from an un-armed engine would be a real bug in the
-// reproduction itself. The generators are seeded, so failures replay.
+// reproduction itself. The parsers of outside input (JSON documents,
+// tracker dumps, mbox archives) must reject mutated input cleanly, never
+// throw, and read back what the library itself writes. The generators are
+// seeded, so failures replay.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "apps/http/request.hpp"
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
 #include "apps/ui/toolkit.hpp"
+#include "corpus/serialize.hpp"
+#include "corpus/synth.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace faultstudy {
@@ -134,6 +142,174 @@ TEST(FuzzUi, UnarmedToolkitNeverCrashes) {
     EXPECT_NE(apps::ui::ArchiveOpener({}).open(rng.next_u64() >> 20).status,
               apps::ui::UiStatus::kCrash);
   }
+}
+
+// ------------------------------------------------ parsers of outside input
+
+/// `text` truncated at a random point, or with one to four bytes replaced
+/// by random ones (any of the 256 values).
+std::string mutate(util::Rng& rng, std::string text) {
+  if (text.empty()) return text;
+  if (rng.chance(0.3)) {
+    text.resize(static_cast<std::size_t>(rng.below(text.size())));
+    return text;
+  }
+  const auto flips = 1 + rng.below(4);
+  for (std::uint64_t i = 0; i < flips; ++i) {
+    text[static_cast<std::size_t>(rng.below(text.size()))] =
+        static_cast<char>(rng.below(256));
+  }
+  return text;
+}
+
+/// Every mutation of every dump goes through `parse`, which must not throw;
+/// returns how many mutants it rejected.
+template <typename Parse>
+int fuzz_dumps(util::Rng& rng, const std::vector<std::string>& dumps,
+               int iterations, Parse parse) {
+  int rejected = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const std::string mutant =
+        mutate(rng, dumps[static_cast<std::size_t>(rng.below(dumps.size()))]);
+    bool ok = false;
+    EXPECT_NO_THROW(ok = parse(mutant).ok());
+    if (!ok) ++rejected;
+  }
+  return rejected;
+}
+
+std::string random_json_string(util::Rng& rng) {
+  static const char kSpecial[] = {'"', '\\', '\n', '\r', '\t', '\x01', '/'};
+  std::string out;
+  const auto len = rng.below(12);
+  for (std::uint64_t i = 0; i < len; ++i) {
+    out += rng.chance(0.2) ? kSpecial[rng.below(std::size(kSpecial))]
+                           : static_cast<char>(rng.between(32, 126));
+  }
+  return out;
+}
+
+/// A random document and its canonical text (what the library's writers
+/// emit: no whitespace, integers or %.17g doubles, escape()d strings).
+std::string random_json(util::Rng& rng, int depth) {
+  const auto kind = depth >= 4 ? rng.below(4) : rng.below(6);
+  switch (kind) {
+    case 0: return "null";
+    case 1: return rng.chance(0.5) ? "true" : "false";
+    case 2: {
+      if (rng.chance(0.6)) return std::to_string(rng.between(-100000, 100000));
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g",
+                    static_cast<double>(rng.between(-4000, 4000)) / 64.0);
+      return buf;
+    }
+    case 3: return "\"" + util::json::escape(random_json_string(rng)) + "\"";
+    case 4: {
+      std::string out = "[";
+      const auto n = rng.below(5);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (i > 0) out += ',';
+        out += random_json(rng, depth + 1);
+      }
+      return out + "]";
+    }
+    default: {
+      std::string out = "{";
+      const auto n = rng.below(5);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (i > 0) out += ',';
+        out += "\"" + util::json::escape(random_json_string(rng)) + "\":";
+        out += random_json(rng, depth + 1);
+      }
+      return out + "}";
+    }
+  }
+}
+
+/// The canonical text of a parsed document (inverse of random_json).
+std::string render_json(const util::json::Value& v) {
+  using Kind = util::json::Value::Kind;
+  switch (v.kind) {
+    case Kind::kNull: return "null";
+    case Kind::kBool: return v.boolean ? "true" : "false";
+    case Kind::kNumber: {
+      if (v.is_integer) return std::to_string(v.integer);
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v.number);
+      return buf;
+    }
+    case Kind::kString: return "\"" + util::json::escape(v.str) + "\"";
+    case Kind::kArray: {
+      std::string out = "[";
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (i > 0) out += ',';
+        out += render_json(v.array[i]);
+      }
+      return out + "]";
+    }
+    case Kind::kObject: {
+      std::string out = "{";
+      for (std::size_t i = 0; i < v.object.size(); ++i) {
+        if (i > 0) out += ',';
+        out += "\"" + util::json::escape(v.object[i].first) +
+               "\":" + render_json(v.object[i].second);
+      }
+      return out + "}";
+    }
+  }
+  return "";
+}
+
+TEST(FuzzJson, DocumentsRoundTripAndMutantsNeverThrow) {
+  util::Rng rng(108);
+  std::vector<std::string> docs;
+  for (int i = 0; i < 200; ++i) {
+    docs.push_back(random_json(rng, 0));
+    const auto parsed = util::json::parse(docs.back());
+    ASSERT_TRUE(parsed.ok()) << docs.back() << ": " << parsed.error();
+    EXPECT_EQ(render_json(parsed.value()), docs.back());
+  }
+  const int rejected = fuzz_dumps(rng, docs, 3000, [](const std::string& t) {
+    return util::json::parse(t);
+  });
+  EXPECT_GT(rejected, 0);
+}
+
+std::vector<std::string> tracker_dumps() {
+  corpus::SynthConfig config;
+  config.apache_total = 80;
+  config.gnome_total = 60;
+  return {corpus::tracker_to_text(corpus::make_apache_tracker(config)),
+          corpus::tracker_to_text(corpus::make_gnome_tracker(config))};
+}
+
+TEST(FuzzCorpus, TrackerDumpsRoundTripAndMutantsNeverThrow) {
+  const std::vector<std::string> dumps = tracker_dumps();
+  for (const std::string& dump : dumps) {
+    const auto parsed = corpus::tracker_from_text(dump);
+    ASSERT_TRUE(parsed.ok()) << parsed.error();
+    EXPECT_EQ(corpus::tracker_to_text(parsed.value()), dump);
+  }
+  util::Rng rng(109);
+  const int rejected = fuzz_dumps(rng, dumps, 600, [](const std::string& t) {
+    return corpus::tracker_from_text(t);
+  });
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(FuzzCorpus, MboxDumpsRoundTripAndMutantsNeverThrow) {
+  corpus::SynthConfig config;
+  config.mysql_messages = 300;
+  const std::vector<std::string> dumps = {
+      corpus::mailinglist_to_mbox(corpus::make_mysql_list(config))};
+  const auto parsed = corpus::mailinglist_from_mbox(dumps[0]);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(corpus::mailinglist_to_mbox(parsed.value()), dumps[0]);
+  util::Rng rng(110);
+  const int rejected = fuzz_dumps(rng, dumps, 600, [](const std::string& t) {
+    return corpus::mailinglist_from_mbox(t);
+  });
+  EXPECT_GT(rejected, 0);  // most mutants still parse: mbox is permissive
 }
 
 }  // namespace

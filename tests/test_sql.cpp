@@ -2,11 +2,14 @@
 // and the five study bugs implemented as engine-level fault points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
+#include "util/rng.hpp"
 
 namespace faultstudy::apps::sql {
 namespace {
@@ -399,6 +402,254 @@ TEST(SqlCopyOnWrite, SplitTableIsWrittenInPlace) {
 TEST(SqlCopyOnWrite, MutableTableOfUnknownTableIsNull) {
   auto e = make_engine();
   EXPECT_EQ(e.mutable_table("nosuch"), nullptr);
+}
+
+// ------------------------------------------------------- access paths
+//
+// A WHERE with a predicate on the indexed column 0 scans only that index
+// range; everything else scans the heap. Both must find the same rows in
+// the same (heap) order, so the references below filter scan_heap().
+
+constexpr CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                 CompareOp::kLt, CompareOp::kLe,
+                                 CompareOp::kGt, CompareOp::kGe};
+
+std::string sql_text(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq: return "=";
+    case CompareOp::kNe: return "!=";
+    case CompareOp::kLt: return "<";
+    case CompareOp::kLe: return "<=";
+    case CompareOp::kGt: return ">";
+    case CompareOp::kGe: return ">=";
+  }
+  return "?";
+}
+
+std::string sql_text(const Value& v) {
+  if (std::holds_alternative<std::string>(v)) return "'" + to_string(v) + "'";
+  return to_string(v);
+}
+
+/// A key from a small pool of INT and TEXT values, so keys repeat and the
+/// index mixes both types.
+Value random_key(util::Rng& rng) {
+  if (rng.chance(0.3)) {
+    return Value{std::string(1, static_cast<char>('a' + rng.below(4)))};
+  }
+  return Value{static_cast<std::int64_t>(rng.between(-2, 8))};
+}
+
+/// `t (id, tag, v)` after a random history of inserts, deletes, key
+/// updates and compactions; tag is unique per inserted row.
+Engine random_engine(util::Rng& rng) {
+  Engine e;
+  e.execute("CREATE TABLE t (id INT, tag INT, v TEXT)");
+  std::int64_t tags = 0;
+  const auto some_tag = [&] {
+    return std::to_string(rng.below(static_cast<std::uint64_t>(tags) + 1));
+  };
+  const auto steps = 5 + rng.below(60);
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    // Every draw gets its own statement, so the history does not depend
+    // on the order a compiler evaluates operands in.
+    const auto kind = rng.below(10);
+    const std::string key = sql_text(random_key(rng));
+    std::string sql;
+    if (kind < 5) {
+      const char v = static_cast<char>('x' + rng.below(3));
+      sql = "INSERT INTO t VALUES (" + key + ", " + std::to_string(tags++) +
+            ", '" + v + "')";
+    } else if (kind == 5) {
+      sql = "DELETE FROM t WHERE tag = " + some_tag();
+    } else if (kind == 6) {
+      sql = "DELETE FROM t WHERE id = " + key;
+    } else if (kind == 7) {
+      sql = "UPDATE t SET id = " + key + " WHERE tag = " + some_tag();
+    } else if (kind == 8) {
+      const std::string old_key = sql_text(random_key(rng));
+      sql = "UPDATE t SET id = " + key + " WHERE id = " + old_key;
+    } else {
+      sql = "OPTIMIZE TABLE t";
+    }
+    EXPECT_EQ(e.execute(sql).status, ExecStatus::kOk) << sql;
+  }
+  return e;
+}
+
+std::vector<Row> rows_of(const Table& t, const std::vector<Slot>& slots) {
+  std::vector<Row> rows;
+  for (Slot slot : slots) rows.push_back(t.row(slot));
+  return rows;
+}
+
+/// Every statement kind, through whichever access path the engine picks
+/// for `WHERE id <op> key`, against a heap-scan reference. With
+/// `exact_index`, the index range alone must already be the answer; on a
+/// corrupted index it may hold extra (stale) candidates instead.
+void expect_access_paths_agree(const Engine& e, CompareOp op, const Value& key,
+                               bool exact_index) {
+  const Table& t = *e.find_table("t");
+  const std::string where = " WHERE id " + sql_text(op) + " " + sql_text(key);
+  SCOPED_TRACE(where);
+  std::vector<Slot> expected;
+  std::vector<Row> rest;  // what a DELETE leaves
+  for (Slot slot : t.scan_heap()) {
+    if (evaluate(op, t.row(slot)[0], key)) {
+      expected.push_back(slot);
+    } else {
+      rest.push_back(t.row(slot));
+    }
+  }
+
+  if (op != CompareOp::kNe) {
+    const std::vector<Slot> range = t.index_range(op, key);
+    EXPECT_TRUE(std::is_sorted(range.begin(), range.end()));
+    EXPECT_EQ(std::adjacent_find(range.begin(), range.end()), range.end());
+    if (exact_index) {
+      EXPECT_EQ(range, expected);
+    } else {
+      EXPECT_TRUE(std::includes(range.begin(), range.end(), expected.begin(),
+                                expected.end()));
+    }
+  }
+
+  Engine reader = e;
+  ExecResult r = reader.execute("SELECT * FROM t" + where);
+  ASSERT_EQ(r.status, ExecStatus::kOk);
+  EXPECT_EQ(r.rows, rows_of(t, expected));
+  EXPECT_EQ(r.affected, static_cast<std::int64_t>(expected.size()));
+
+  // ORDER BY on a column full of ties keeps heap order within a tie.
+  std::vector<Row> sorted = rows_of(t, expected);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Row& a, const Row& b) {
+                     return compare(a[2], b[2]) < 0;
+                   });
+  r = reader.execute("SELECT * FROM t" + where + " ORDER BY v");
+  EXPECT_EQ(r.rows, sorted);
+  r = reader.execute("SELECT tag FROM t" + where + " AND v != 'y'");
+  std::vector<Row> tags;
+  for (const Row& row : rows_of(t, expected)) {
+    if (to_string(row[2]) != "y") tags.push_back({row[1]});
+  }
+  EXPECT_EQ(r.rows, tags);
+  EXPECT_EQ(reader.execute("SELECT COUNT(*) FROM t" + where).affected,
+            static_cast<std::int64_t>(expected.size()));
+
+  Engine updated = e;
+  r = updated.execute("UPDATE t SET v = 'w'" + where);
+  EXPECT_EQ(r.affected, static_cast<std::int64_t>(expected.size()));
+  std::vector<Row> after;
+  for (Slot slot : t.scan_heap()) {
+    Row row = t.row(slot);
+    if (evaluate(op, row[0], key)) row[2] = Value{std::string("w")};
+    after.push_back(std::move(row));
+  }
+  const Table& u = *updated.find_table("t");
+  EXPECT_EQ(rows_of(u, u.scan_heap()), after);
+
+  Engine deleted = e;
+  r = deleted.execute("DELETE FROM t" + where);
+  EXPECT_EQ(r.affected, static_cast<std::int64_t>(expected.size()));
+  const Table& d = *deleted.find_table("t");
+  EXPECT_EQ(rows_of(d, d.scan_heap()), rest);
+}
+
+TEST(SqlAccessPath, IndexRangeMatchesHeapScanOnRandomTables) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const Engine e = random_engine(rng);
+    ASSERT_TRUE(e.find_table("t")->check_index());
+    for (const CompareOp op : kAllOps) {
+      for (int i = 0; i < 3; ++i) {
+        expect_access_paths_agree(e, op, random_key(rng), /*exact_index=*/true);
+      }
+    }
+  }
+}
+
+TEST(SqlAccessPath, IndexRangeStaysExactOnACorruptedIndex) {
+  int corrupted = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    Engine e = random_engine(rng);
+    SqlFaultFlags flags;
+    flags.update_index_scan_bug = true;
+    e.set_fault_flags(flags);
+    const std::string to = sql_text(random_key(rng));
+    const std::string below = sql_text(random_key(rng));
+    (void)e.execute("UPDATE t SET id = " + to + " WHERE id < " + below);
+    e.set_fault_flags({});
+    if (!e.find_table("t")->check_index()) ++corrupted;
+    for (const CompareOp op : kAllOps) {
+      for (int i = 0; i < 3; ++i) {
+        expect_access_paths_agree(e, op, random_key(rng),
+                                  /*exact_index=*/false);
+      }
+    }
+  }
+  EXPECT_GT(corrupted, 10);  // the corrupted case is actually exercised
+}
+
+TEST(SqlAccessPath, UnknownColumnOnEmptyTableIsNoError) {
+  auto e = make_engine();
+  for (const char* sql : {"SELECT * FROM empty_t WHERE nocol = 1",
+                          "SELECT nocol FROM empty_t",
+                          "UPDATE empty_t SET id = 1 WHERE nocol = 1",
+                          "DELETE FROM empty_t WHERE nocol = 1"}) {
+    const ExecResult r = e.execute(sql);
+    EXPECT_EQ(r.status, ExecStatus::kOk) << sql;
+    EXPECT_EQ(r.affected, 0) << sql;
+  }
+}
+
+TEST(SqlAccessPath, EarlierFalsePredicateSkipsUnknownColumn) {
+  auto e = make_engine();
+  for (const char* sql : {"SELECT * FROM t WHERE id > 100 AND nocol = 1",
+                          "SELECT nocol FROM t WHERE id > 100",
+                          "UPDATE t SET state = 'x' WHERE id = 7 AND nocol = 1",
+                          "DELETE FROM t WHERE state = 'gone' AND nocol = 1"}) {
+    const ExecResult r = e.execute(sql);
+    EXPECT_EQ(r.status, ExecStatus::kOk) << sql;
+    EXPECT_EQ(r.affected, 0) << sql;
+  }
+  // A row that passes the first predicate reaches the unknown column.
+  EXPECT_EQ(e.execute("SELECT * FROM t WHERE id = 2 AND nocol = 1").message,
+            "unknown column nocol");
+}
+
+TEST(SqlAccessPath, FirstReachedUnknownColumnNamesTheError) {
+  auto e = make_engine();
+  EXPECT_EQ(e.execute("SELECT * FROM t WHERE bad1 = 1 AND bad2 = 2").message,
+            "unknown column bad1");
+  EXPECT_EQ(e.execute("DELETE FROM t WHERE id > 0 AND bad2 = 1 AND bad1 = 1")
+                .message,
+            "unknown column bad2");
+  EXPECT_EQ(e.execute("UPDATE t SET state = 'x' WHERE bad3 = 1").message,
+            "unknown column bad3");
+  EXPECT_EQ(e.execute("SELECT id, bad4, bad5 FROM t").message,
+            "unknown column bad4");
+  EXPECT_EQ(e.find_table("t")->row_count(), 3u);
+}
+
+TEST(SqlAccessPath, NoOpUpdateKeepsTheTableShared) {
+  auto e = make_engine();
+  const Engine snapshot = e;
+  const Table* shared = e.find_table("t");
+  for (const char* sql : {"UPDATE t SET state = 'done' WHERE id = 3",
+                          "UPDATE t SET id = 2 WHERE id = 2",
+                          "UPDATE t SET state = 'open' WHERE id < 3"}) {
+    const ExecResult r = e.execute(sql);
+    EXPECT_EQ(r.status, ExecStatus::kOk) << sql;
+    EXPECT_GT(r.affected, 0) << sql;  // matched rows count, changed or not
+    EXPECT_EQ(e.find_table("t"), shared) << sql;
+  }
+  EXPECT_EQ(e.execute("UPDATE t SET state = 'done' WHERE id < 3").affected, 2);
+  EXPECT_NE(e.find_table("t"), shared);
+  EXPECT_EQ(snapshot.find_table("t"), shared);
 }
 
 // ---------------------------------------------- the five study bugs
