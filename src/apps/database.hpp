@@ -43,8 +43,11 @@ class Database final : public BaseApp {
   bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
-  /// Runs `sql` on this server's engine. Each distinct text is parsed once
-  /// per Database (parse errors included) and its statements are reused.
+  /// Runs `sql` on this server's engine, the path handle() takes for a
+  /// query. Each distinct text is parsed once per Database (parse errors
+  /// included) and its statements are reused. Public as a test seam: it
+  /// returns the statement's error, which handle() answers to the client
+  /// and does not report; code outside tests goes through handle().
   sql::ExecResult execute(const std::string& sql);
 
   std::uint64_t rows(const std::string& table) const;

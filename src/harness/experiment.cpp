@@ -402,6 +402,8 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
           if (sinks.forensics != nullptr) lane_forensics.ring.clear();
           const TrialOutcome outcome = run_trial(plan, *mechanism, tc, sinks);
           if (sinks.forensics != nullptr) {
+            // The trial's Environment, and so its clock, is gone.
+            lane_forensics.ring.bind_clock(nullptr);
             auto& postmortem = lane_forensics.postmortem;
             if (postmortem.has_value()) postmortem->repeat = r;
             votes.fates.push_back({outcome.survived, std::move(postmortem)});

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace faultstudy::telemetry {
 
@@ -49,11 +50,10 @@ std::vector<std::int64_t> default_micros_bounds() {
 }
 
 namespace {
-/// Initial capacity of a registry's tables, in metrics. A matrix cell
-/// registers a few dozen; the tables stay below the 1 KiB at which glibc's
-/// malloc consolidates its fast bins, which a registry built per cell would
-/// otherwise trigger every time.
-constexpr std::size_t kTypicalMetrics = 32;
+/// A registry registers its names in one burst (the first fold into it), a
+/// few dozen of them: the first registration sizes its tables for this many
+/// so the burst does not regrow them from empty.
+constexpr std::size_t kFirstBurst = 32;
 }  // namespace
 
 std::string_view MetricsRegistry::NameTable::operator[](
@@ -62,23 +62,45 @@ std::string_view MetricsRegistry::NameTable::operator[](
   return std::string_view(chars_).substr(begin, ends_[id] - begin);
 }
 
+void MetricsRegistry::NameTable::place(std::uint32_t id,
+                                       std::size_t hash) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = hash & mask;
+  while (slots_[slot] != 0) slot = (slot + 1) & mask;
+  slots_[slot] = id + 1;
+}
+
 std::uint32_t MetricsRegistry::NameTable::intern(std::string_view name,
                                                  bool& added) {
-  const auto count = static_cast<std::uint32_t>(ends_.size());
-  for (std::uint32_t id = 0; id < count; ++id) {
-    if ((*this)[id] == name) {
-      added = false;
-      return id;
+  const std::size_t hash = std::hash<std::string_view>{}(name);
+  if (!slots_.empty()) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash & mask; slots_[slot] != 0;
+         slot = (slot + 1) & mask) {
+      const std::uint32_t id = slots_[slot] - 1;
+      if ((*this)[id] == name) {
+        added = false;
+        return id;
+      }
     }
   }
-  if (ends_.empty()) {
-    chars_.reserve(kTypicalMetrics * 24);
-    ends_.reserve(kTypicalMetrics);
+  const auto id = static_cast<std::uint32_t>(ends_.size());
+  if (id == 0) {
+    chars_.reserve(kFirstBurst * 24);
+    ends_.reserve(kFirstBurst);
   }
   chars_.append(name);
   ends_.push_back(static_cast<std::uint32_t>(chars_.size()));
+  if (2 * ends_.size() <= slots_.size()) {
+    place(id, hash);
+  } else {
+    slots_.assign(std::max(2 * kFirstBurst, 2 * slots_.size()), 0);
+    for (std::uint32_t i = 0; i <= id; ++i) {
+      place(i, std::hash<std::string_view>{}((*this)[i]));
+    }
+  }
   added = true;
-  return count;
+  return id;
 }
 
 MetricsRegistry::MetricsRegistry(std::size_t shards)
@@ -88,9 +110,8 @@ CounterId MetricsRegistry::counter(std::string_view name) {
   bool added = false;
   const std::uint32_t index = counter_names_.intern(name, added);
   if (added) {
-    const std::size_t slots = shards_ * stride<CounterCell>();
-    if (counter_cells_.empty()) counter_cells_.reserve(kTypicalMetrics * slots);
-    counter_cells_.resize(counter_cells_.size() + slots);
+    if (counter_cells_.empty()) counter_cells_.reserve(kFirstBurst * shards_);
+    counter_cells_.resize(counter_cells_.size() + shards_);
   }
   return {index};
 }
@@ -99,9 +120,8 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
   bool added = false;
   const std::uint32_t index = gauge_names_.intern(name, added);
   if (added) {
-    const std::size_t slots = shards_ * stride<GaugeCell>();
-    if (gauge_cells_.empty()) gauge_cells_.reserve(kTypicalMetrics * slots);
-    gauge_cells_.resize(gauge_cells_.size() + slots);
+    if (gauge_cells_.empty()) gauge_cells_.reserve(kFirstBurst * shards_);
+    gauge_cells_.resize(gauge_cells_.size() + shards_);
   }
   return {index};
 }
@@ -120,12 +140,12 @@ HistogramId MetricsRegistry::histogram(
 
 void MetricsRegistry::add(CounterId id, std::uint64_t n,
                           std::size_t shard) noexcept {
-  counter_cells_[cell<CounterCell>(id.index, shard)].value += n;
+  counter_cells_[cell(id.index, shard)].value += n;
 }
 
 void MetricsRegistry::peak(GaugeId id, std::int64_t value,
                            std::size_t shard) noexcept {
-  GaugeCell& high = gauge_cells_[cell<GaugeCell>(id.index, shard)];
+  GaugeCell& high = gauge_cells_[cell(id.index, shard)];
   if (!high.set || value > high.high) {
     high.high = value;
     high.set = true;
@@ -145,7 +165,7 @@ void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h,
 std::uint64_t MetricsRegistry::counter_total(std::size_t index) const noexcept {
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < shards_; ++s) {
-    total += counter_cells_[cell<CounterCell>(index, s)].value;
+    total += counter_cells_[cell(index, s)].value;
   }
   return total;
 }
@@ -154,7 +174,7 @@ MetricsRegistry::GaugeCell MetricsRegistry::gauge_high(
     std::size_t index) const noexcept {
   GaugeCell high;
   for (std::size_t s = 0; s < shards_; ++s) {
-    const GaugeCell& shard_high = gauge_cells_[cell<GaugeCell>(index, s)];
+    const GaugeCell& shard_high = gauge_cells_[cell(index, s)];
     if (shard_high.set && (!high.set || shard_high.high > high.high)) {
       high = shard_high;
     }

@@ -160,9 +160,9 @@ class MetricsRegistry {
     bool set = false;
   };
 
-  /// The names of one kind of metric, stored back to back. Registering a
-  /// name allocates only when a table grows (a registry holds a few dozen
-  /// names, so a fresh one sizes its tables once); a lookup scans them.
+  /// The names of one kind of metric, stored back to back and found
+  /// through an open-addressed hash index of their ids, so registering a
+  /// name allocates only when a table grows and a lookup hashes once.
   class NameTable {
    public:
     std::size_t size() const noexcept { return ends_.size(); }
@@ -171,29 +171,27 @@ class MetricsRegistry {
     std::uint32_t intern(std::string_view name, bool& added);
 
    private:
+    /// Puts `id` in the first free slot of its probe sequence.
+    void place(std::uint32_t id, std::size_t hash) noexcept;
+
     std::string chars_;
     std::vector<std::uint32_t> ends_;  ///< name i ends at chars_[ends_[i]]
+    /// id + 1 per used slot, 0 if free; a power of two, at most half full.
+    std::vector<std::uint32_t> slots_;
   };
 
-  /// Cells per shard slot: with more than one shard, slots sit a cache
-  /// line apart so concurrent lanes never false-share; a single-shard
-  /// registry (every registry the study builds) packs them.
-  template <typename Cell>
-  std::size_t stride() const noexcept {
-    return shards_ > 1 ? 64 / sizeof(Cell) : 1;
-  }
   /// Flat index of a counter or gauge cell; out-of-range shards write 0.
-  template <typename Cell>
   std::size_t cell(std::size_t index, std::size_t shard) const noexcept {
-    return (index * shards_ + (shard < shards_ ? shard : 0)) * stride<Cell>();
+    return index * shards_ + (shard < shards_ ? shard : 0);
   }
   std::uint64_t counter_total(std::size_t index) const noexcept;
   /// The gauge's high-watermark over shards; `set` is false if never raised.
   GaugeCell gauge_high(std::size_t index) const noexcept;
 
   std::size_t shards_;
-  // Counter and gauge cells are stored flat, shards_ slots per metric (see
-  // cell()), so registering one allocates only when a vector grows.
+  // Counter and gauge cells are stored flat, shards_ per metric (metric i,
+  // shard s at [i * shards_ + s]), so registering one allocates only when
+  // a vector grows.
   NameTable counter_names_;
   std::vector<CounterCell> counter_cells_;
   NameTable gauge_names_;

@@ -81,6 +81,29 @@ TEST(MetricsRegistry, RegistrationInternsNames) {
   EXPECT_NE(reg.counter("y").index, a.index);
 }
 
+TEST(MetricsRegistry, ManySharedPrefixNamesKeepTheirIds) {
+  // Enough names to regrow the name index several times, all with the
+  // common prefix the per-mechanism counters have.
+  telemetry::MetricsRegistry reg;
+  std::vector<telemetry::CounterId> ids;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "recovery/rollback-retry/c" + std::to_string(i);
+    ids.push_back(reg.counter(name));
+    reg.add(ids.back(), static_cast<std::uint64_t>(i) + 1);
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "recovery/rollback-retry/c" + std::to_string(i);
+    EXPECT_EQ(reg.counter(name).index, ids[static_cast<std::size_t>(i)].index);
+    EXPECT_EQ(reg.counter(name).index, static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(reg.gauge("recovery/rollback-retry/c0").index, 0u);  // own table
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 300u);
+  std::uint64_t total = 0;
+  for (const auto& c : snap.counters) total += c.value;
+  EXPECT_EQ(total, 300u * 301u / 2);
+}
+
 TEST(MetricsRegistry, ShardsFoldIntoOneSnapshotValue) {
   telemetry::MetricsRegistry reg(4);
   const auto c = reg.counter("hits");
