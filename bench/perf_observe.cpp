@@ -16,12 +16,11 @@
 //              total is the noise-robust pick, since interference only adds
 //              time. The second bare variant gives the noise floor.
 //
-// Gate measurements land in BENCH_observe.json (bench::BenchJson), which
-// bench_trajectory merges.
+// Gate measurements land in BENCH_observe.json (bench::BenchJson).
 //
 // Benchmark rows (the whole-matrix costs are the gate's own measurements):
 //   BM_NullSinkBranch      the detached path: emit on a null observer
-//   BM_RegistryCounterAdd  one sharded counter increment
+//   BM_RegistryCounterAdd  one registry counter increment
 //   BM_HistogramObserve    one fixed-bucket observation
 //   BM_SpanOpenClose       one sim-domain RAII span
 //   BM_RingRecord          one flight-recorder append
@@ -83,10 +82,10 @@ void BM_NullSinkBranch(benchmark::State& state) {
 BENCHMARK(BM_NullSinkBranch);
 
 void BM_RegistryCounterAdd(benchmark::State& state) {
-  telemetry::MetricsRegistry registry(4);
+  telemetry::MetricsRegistry registry;
   const auto id = registry.counter("bench/counter");
   for (auto _ : state) {
-    registry.add(id, 1, 0);
+    registry.add(id, 1);
   }
   benchmark::DoNotOptimize(registry.snapshot());
 }

@@ -6,6 +6,10 @@
 //   faultstudy_cli simulate <fault> <mechanism>   # one recovery trial
 //   faultstudy_cli matrix               # the full recovery matrix
 //
+// `classify` reads the `Title:` / `How-To-Repeat:` / `Comments:` format of
+// core::parse_report_text, or free text; empty or blank stdin is a usage
+// error (exit 2).
+//
 // `mine` accepts either an application name (generates the calibrated
 // synthetic corpus) or a path to a tracker dump / mbox file written by
 // `corpus` (or by you).
@@ -46,6 +50,7 @@
 #include "corpus/serialize.hpp"
 #include "corpus/synth.hpp"
 #include "harness/experiment.hpp"
+#include "core/rule_classifier.hpp"
 #include "core/rules.hpp"
 #include "mining/pipeline.hpp"
 #include "obs/baseline.hpp"
@@ -177,29 +182,16 @@ int cmd_report(const std::string& path) {
 }
 
 int cmd_classify() {
-  // Accept either the structured field format or free text (all of it
-  // becomes the body).
   std::ostringstream all;
   all << std::cin.rdbuf();
   const std::string input = all.str();
-
-  core::ReportText report;
-  bool structured = false;
-  for (const auto line : util::split(input, '\n')) {
-    const auto set = [&](std::string_view tag, std::string& field) {
-      if (util::starts_with(line, tag)) {
-        field = std::string(util::trim(line.substr(tag.size())));
-        structured = true;
-        return true;
-      }
-      return false;
-    };
-    if (set("Title:", report.title)) continue;
-    if (set("How-To-Repeat:", report.how_to_repeat)) continue;
-    if (set("Comments:", report.developer_comments)) continue;
-    report.body += std::string(line) + "\n";
+  if (util::trim(input).empty()) {
+    // Nothing to read is a usage error, not an environment-independent
+    // verdict at confidence 0.
+    std::fputs("classify: no report on stdin\n", stderr);
+    return 2;
   }
-  if (!structured) report.body = input;
+  const core::ReportText report = core::parse_report_text(input);
 
   const auto result = core::RuleClassifier().classify(report);
   std::printf("class      : %s\n",

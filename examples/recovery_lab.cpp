@@ -26,7 +26,6 @@
 
 #include "corpus/seeds.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
 #include "harness/transcript.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
@@ -34,6 +33,7 @@
 #include "telemetry/trial.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace faultstudy;
 
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
     // Stability sweep: the narrated trial is one draw; races and timing
     // phases are probabilistic, so re-run the cell across `repeats`
     // differently-seeded trials on the parallel executor.
-    const auto outcomes = harness::parallel_map<harness::TrialOutcome>(
+    const auto outcomes = util::parallel_map<harness::TrialOutcome>(
         repeats, threads, [&](std::size_t r) {
           harness::TrialConfig config;
           config.seed = 1000 + static_cast<std::uint64_t>(r) * 131 +
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
     std::printf("stability: survived %zu/%zu fault-observing trials "
                 "(%zu of %zu repeats, %zu lanes)\n",
                 wins, observed, observed, repeats,
-                harness::effective_threads(threads));
+                util::resolve_threads(threads));
   }
   return survived ? 0 : 2;
 }

@@ -13,9 +13,9 @@
 //
 // Exit codes: 0 ok / no drift, 1 I/O error, 2 usage error, 3 snapshot
 // parse error, 4 fatal drift (a changed study identity — seed, repeats,
-// trials, probe universe — lost coverage, distribution or survival-rate
-// shifts beyond tolerance). `check` also exits 4 when the baseline itself
-// is rejected: the CI gate fails closed.
+// trials, probe universe — lost coverage, a mechanism on only one side,
+// distribution or survival-rate shifts beyond tolerance). `check` also
+// exits 4 when the baseline itself is rejected: the CI gate fails closed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -2,7 +2,7 @@
 //
 // A trial transcript (harness/transcript.hpp) records the resource-level
 // events the harness observed: descriptor acquisitions, process spawns and
-// kills, disk writes, checkpoints and rollbacks, signal raises. The checker
+// kills, disk writes, rollbacks, signal raises. The checker
 // scans a finished transcript for violations of the resource protocol —
 // without re-running anything, which is what lets it audit transcripts from
 // any mechanism or fault combination after the fact:
@@ -19,7 +19,9 @@
 //                       verdict: rollback must restore state, never
 //                       generate new writes.
 //   kSignalToDeadPid    a signal raised at a pid that was already killed
-//                       and never respawned.
+//                       and never respawned. harness::run_trial never
+//                       records kSignalRaise, so this rule fires only on
+//                       transcripts built by hand, as in the tests.
 //
 // The checker only touches inline accessors of the transcript types, so it
 // layers below the harness (fs_harness links fs_analysis, not vice versa).

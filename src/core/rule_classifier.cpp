@@ -171,6 +171,27 @@ const std::string& field_text(const ReportText& r, std::size_t i) {
 
 RuleClassifier::RuleClassifier(RulePolicy policy) : policy_(policy) {}
 
+ReportText parse_report_text(std::string_view input) {
+  ReportText report;
+  bool structured = false;
+  for (const auto line : util::split(input, '\n')) {
+    const auto set = [&](std::string_view tag, std::string& field) {
+      if (util::starts_with(line, tag)) {
+        field = std::string(util::trim(line.substr(tag.size())));
+        structured = true;
+        return true;
+      }
+      return false;
+    };
+    if (set("Title:", report.title)) continue;
+    if (set("How-To-Repeat:", report.how_to_repeat)) continue;
+    if (set("Comments:", report.developer_comments)) continue;
+    report.body += std::string(line) + "\n";
+  }
+  if (!structured) report.body = std::string(input);
+  return report;
+}
+
 std::size_t RuleClassifier::lexicon_size() {
   return std::size(kCues);
 }

@@ -43,6 +43,13 @@ struct Classification {
   std::vector<CueMatch> evidence;
 };
 
+/// Reads a report in the `classify` input format. A line that starts with
+/// `Title:`, `How-To-Repeat:` or `Comments:` sets that field to the rest of
+/// the line, trimmed (the last such line wins); every other line goes to the
+/// body. Input without any of those tags is free text: all of it becomes the
+/// body, verbatim. Accepts any byte sequence.
+ReportText parse_report_text(std::string_view input);
+
 class RuleClassifier {
  public:
   /// Uses the paper's rule policy by default.

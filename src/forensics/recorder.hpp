@@ -3,12 +3,11 @@
 //
 // The recorder is the always-on half of the forensics layer (DESIGN.md §9):
 // injection arming, environment resource transitions, application state
-// changes, and recovery actions are appended as small
-// fixed-size records stamped with the simulated clock and the executor lane
-// that wrote them. When the ring is full the oldest events are overwritten —
-// a post-mortem cares about the window leading up to the failure, not the
-// full history — and the drop count is kept so exports can say what was
-// lost.
+// changes, and recovery actions are appended as small fixed-size records
+// stamped with the simulated clock. When the ring is full the oldest events
+// are overwritten — a post-mortem cares about the window leading up to the
+// failure, not the full history — and the drop count is kept so exports can
+// say what was lost.
 //
 // Events reach the ring through the trial event stream (obs/event.hpp),
 // whose table decides which events record; with a recorder attached each of
@@ -16,9 +15,7 @@
 //
 // Determinism contract: a trial is single-threaded and the ring is owned by
 // exactly one trial, so event order and sim-clock stamps are bit-identical
-// for every `--threads` value. The lane id is the one live-diagnostic field
-// that is NOT deterministic across thread counts; every serialized forensic
-// artifact (post-mortem JSON, the HTML explorer) therefore omits it.
+// for every `--threads` value.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "env/clock.hpp"
-#include "util/thread_pool.hpp"
 
 namespace faultstudy::forensics {
 
@@ -91,15 +87,13 @@ std::string_view to_string(TrialVerdict verdict) noexcept;
 
 struct FlightEvent {
   FlightCode code = FlightCode::kTrialStart;
-  /// Executor lane that recorded the event (live diagnostics only; omitted
-  /// from every serialized artifact — see the determinism contract above).
-  std::uint32_t lane = 0;
   env::Tick at = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
 
   bool operator==(const FlightEvent&) const = default;
 };
+static_assert(sizeof(FlightEvent) == 32);
 
 /// Ring capacity every trial gets by default: large enough to hold the full
 /// event history of nearly every specimen (a trial emits tens of events, not
@@ -109,16 +103,11 @@ inline constexpr std::size_t kDefaultRingCapacity = 256;
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = kDefaultRingCapacity)
-      : ring_(capacity > 0 ? capacity : 1),
-        lane_(static_cast<std::uint32_t>(util::current_lane())) {}
+      : ring_(capacity > 0 ? capacity : 1) {}
 
-  /// Stamps subsequent events with this simulated clock and the calling
-  /// thread's lane (a trial records on the lane that binds its ring). The
-  /// clock must outlive the recording phase; unbound recorders stamp tick 0.
-  void bind_clock(const env::VirtualClock* clock) noexcept {
-    clock_ = clock;
-    lane_ = static_cast<std::uint32_t>(util::current_lane());
-  }
+  /// Stamps subsequent events with this simulated clock. The clock must
+  /// outlive the recording phase; unbound recorders stamp tick 0.
+  void bind_clock(const env::VirtualClock* clock) noexcept { clock_ = clock; }
 
   /// Appends an event, overwriting the oldest when the ring is full.
   void record(FlightCode code, std::uint64_t a = 0,
@@ -126,7 +115,6 @@ class FlightRecorder {
     FlightEvent& slot = ring_[next_];
     if (++next_ == ring_.size()) next_ = 0;
     slot.code = code;
-    slot.lane = lane_;
     slot.at = clock_ != nullptr ? clock_->now() : 0;
     slot.a = a;
     slot.b = b;
@@ -169,7 +157,6 @@ class FlightRecorder {
   std::size_t next_ = 0;  ///< the slot the next event overwrites
   std::uint64_t total_ = 0;
   const env::VirtualClock* clock_ = nullptr;
-  std::uint32_t lane_ = 0;
 };
 
 }  // namespace faultstudy::forensics

@@ -6,14 +6,14 @@
 #include "analysis/invariant_checker.hpp"
 #include "analysis/race_detector.hpp"
 #include "core/rules.hpp"
-#include "harness/parallel.hpp"
-#include "util/rng.hpp"
 #include "recovery/app_specific.hpp"
 #include "recovery/process_pairs.hpp"
 #include "recovery/progressive.hpp"
 #include "recovery/rejuvenation.hpp"
 #include "recovery/restart.hpp"
 #include "recovery/rollback.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faultstudy::harness {
 
@@ -369,7 +369,7 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     std::vector<TrialFate> fates;
   };
   const std::size_t cell_count = mechanisms.size() * seeds.size();
-  auto cells = parallel_map<CellVotes>(
+  auto cells = util::parallel_map<CellVotes>(
       cell_count, config.threads, [&](std::size_t cell) {
         const NamedMechanism& nm = mechanisms[cell / seeds.size()];
         const corpus::SeedFault& seed = seeds[cell % seeds.size()];
@@ -472,7 +472,7 @@ OracleReport run_oracle_crosscheck(const std::vector<corpus::SeedFault>& seeds,
   // One traced trial per seed, each with its own detector (analyze() is
   // stateless, but per-trial instances keep the lanes share-nothing). Rows
   // land in their seed's slot, so the report order never depends on timing.
-  report.rows = parallel_map<OracleRow>(
+  report.rows = util::parallel_map<OracleRow>(
       seeds.size(), base.threads, [&](std::size_t idx) {
         const corpus::SeedFault& seed = seeds[idx];
         TrialConfig tc = base;

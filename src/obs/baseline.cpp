@@ -27,6 +27,68 @@ constexpr std::array<std::string_view, 3> kIdentityKeys = {"seed", "repeats",
 constexpr std::array<std::string_view, 5> kSectionKeys = {
     "classes", "matrix", "probes", "specimens", "counters"};
 
+/// Reads the fields of one section row, each of them required: a field
+/// read with a default would parse a missing value as 0 or "" and silently
+/// switch off the drift check that reads it. The first missing or mistyped
+/// field is reported through `error`.
+class RowReader {
+ public:
+  RowReader(const util::json::Value& row, std::string_view section,
+            std::size_t index, std::string& error)
+      : row_(row), section_(section), index_(index), error_(error) {}
+
+  std::string text(std::string_view key) {
+    const util::json::Value* v = row_.find(key);
+    if (v != nullptr && v->is_string()) return v->str;
+    fail(key, "a string");
+    return {};
+  }
+  std::uint64_t count(std::string_view key) {
+    return count_of(row_.find(key), key);
+  }
+  bool flag(std::string_view key) {
+    const util::json::Value* v = row_.find(key);
+    if (v != nullptr && v->kind == util::json::Value::Kind::kBool) {
+      return v->boolean;
+    }
+    fail(key, "a boolean");
+    return false;
+  }
+  /// A three-element count array, one per fault class.
+  std::array<std::uint64_t, 3> per_class(std::string_view key) {
+    std::array<std::uint64_t, 3> out{};
+    const util::json::Value* v = row_.find(key);
+    if (v == nullptr || !v->is_array() || v->array.size() != out.size()) {
+      fail(key, "an array of 3 counts");
+      return out;
+    }
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      out[c] = count_of(&v->array[c], key);
+    }
+    return out;
+  }
+
+ private:
+  std::uint64_t count_of(const util::json::Value* v, std::string_view key) {
+    if (v != nullptr && v->is_integer && v->integer >= 0) {
+      return static_cast<std::uint64_t>(v->integer);
+    }
+    fail(key, "a non-negative integer");
+    return 0;
+  }
+  void fail(std::string_view key, std::string_view what) {
+    if (!error_.empty()) return;
+    error_ = "snapshot " + std::string(section_) + " row " +
+             std::to_string(index_) + " needs " + std::string(what) + " '" +
+             std::string(key) + "'";
+  }
+
+  const util::json::Value& row_;
+  std::string_view section_;
+  std::size_t index_;
+  std::string& error_;
+};
+
 }  // namespace
 
 std::uint64_t StudySnapshot::probes_hit() const noexcept {
@@ -196,53 +258,51 @@ util::Result<StudySnapshot> parse_snapshot(std::string_view text) {
       return util::Err{"snapshot needs a '" + std::string(key) + "' array"};
     }
   }
-  snap.seed = static_cast<std::uint64_t>(root.int_or("seed", 0));
-  snap.repeats = root.int_or("repeats", 0);
-  snap.trials = static_cast<std::uint64_t>(root.int_or("trials", 0));
+  snap.seed = static_cast<std::uint64_t>(root.find("seed")->integer);
+  snap.repeats = root.find("repeats")->integer;
+  snap.trials = static_cast<std::uint64_t>(root.find("trials")->integer);
 
-  for (const util::json::Value& v : root.find("classes")->array) {
+  std::string error;
+  const auto rows = [&](std::string_view section, auto&& read_row) {
+    const std::vector<util::json::Value>& array = root.find(section)->array;
+    for (std::size_t i = 0; i < array.size() && error.empty(); ++i) {
+      RowReader row(array[i], section, i, error);
+      read_row(row);
+    }
+  };
+  rows("classes", [&](RowReader& r) {
     StudySnapshot::ClassRow row;
-    row.app = v.string_or("app", "");
-    for (std::size_t c = 0; c < 3; ++c) {
-      row.counts[c] = static_cast<std::uint64_t>(v.int_or(kClassCodes[c], 0));
-    }
+    row.app = r.text("app");
+    for (std::size_t c = 0; c < 3; ++c) row.counts[c] = r.count(kClassCodes[c]);
     snap.classes.push_back(std::move(row));
-  }
-  for (const util::json::Value& v : root.find("matrix")->array) {
+  });
+  rows("matrix", [&](RowReader& r) {
     StudySnapshot::MatrixRow row;
-    row.mechanism = v.string_or("mechanism", "");
-    if (const util::json::Value* g = v.find("generic"); g != nullptr) {
-      row.generic = g->boolean;
-    }
-    const util::json::Value* survived = v.find("survived");
-    const util::json::Value* total = v.find("total");
-    for (std::size_t c = 0; c < 3; ++c) {
-      if (survived != nullptr && c < survived->array.size()) {
-        row.survived[c] =
-            static_cast<std::uint64_t>(survived->array[c].integer);
-      }
-      if (total != nullptr && c < total->array.size()) {
-        row.total[c] = static_cast<std::uint64_t>(total->array[c].integer);
-      }
-    }
-    row.vacuous = static_cast<std::uint64_t>(v.int_or("vacuous", 0));
-    row.state_losses = static_cast<std::uint64_t>(v.int_or("state_losses", 0));
+    row.mechanism = r.text("mechanism");
+    row.generic = r.flag("generic");
+    row.survived = r.per_class("survived");
+    row.total = r.per_class("total");
+    row.vacuous = r.count("vacuous");
+    row.state_losses = r.count("state_losses");
     snap.matrix.push_back(std::move(row));
-  }
-  for (const util::json::Value& v : root.find("probes")->array) {
-    snap.probes.push_back({v.string_or("name", ""),
-                           static_cast<std::uint64_t>(v.int_or("hits", 0))});
-  }
-  for (const util::json::Value& v : root.find("specimens")->array) {
+  });
+  rows("probes", [&](RowReader& r) {
+    snap.probes.push_back({r.text("name"), r.count("hits")});
+  });
+  rows("specimens", [&](RowReader& r) {
     snap.specimens.push_back(
-        {v.string_or("fault_id", ""),
-         static_cast<std::uint64_t>(v.int_or("probes_hit", 0)),
-         static_cast<std::uint64_t>(v.int_or("trials", 0))});
-  }
-  for (const util::json::Value& v : root.find("counters")->array) {
-    snap.counters.push_back(
-        {v.string_or("name", ""),
-         static_cast<std::uint64_t>(v.int_or("value", 0))});
+        {r.text("fault_id"), r.count("probes_hit"), r.count("trials")});
+  });
+  rows("counters", [&](RowReader& r) {
+    snap.counters.push_back({r.text("name"), r.count("value")});
+  });
+  if (!error.empty()) return util::Err{std::move(error)};
+  // An empty section would disable every check that walks it; only the
+  // informational counters may be empty (a run without telemetry).
+  if (snap.classes.empty() || snap.matrix.empty() || snap.probes.empty() ||
+      snap.specimens.empty()) {
+    return util::Err{std::string(
+        "snapshot has an empty classes, matrix, probes or specimens section")};
   }
   return snap;
 }
@@ -375,7 +435,7 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
     const bool known = std::any_of(
         baseline.matrix.begin(), baseline.matrix.end(),
         [&c](const auto& b) { return b.mechanism == c.mechanism; });
-    if (!known) note("new mechanism in matrix: " + c.mechanism);
+    if (!known) fatal("new mechanism in matrix: " + c.mechanism);
   }
 
   // --- specimen coverage vectors ---

@@ -10,10 +10,10 @@
 // counts, and a textual diff of two snapshots is already meaningful.
 //
 // `diff` compares a candidate against a baseline and separates *fatal*
-// drift (lost coverage, lost taxonomy cells, disappeared specimens or
-// mechanisms, class-distribution or survival-rate shifts beyond the
-// tolerance band) from *notes* (new coverage, hit-count and counter
-// deltas). CI fails on `regressed()`.
+// drift (lost coverage, lost taxonomy cells, disappeared specimens, a
+// mechanism on only one side, class-distribution or survival-rate shifts
+// beyond the tolerance band) from *notes* (new coverage, hit-count and
+// counter deltas). CI fails on `regressed()`.
 #pragma once
 
 #include <array>
@@ -102,7 +102,9 @@ StudySnapshot build_snapshot(const std::vector<corpus::SeedFault>& seeds,
 /// Canonical JSON writer: fixed key order, two-space indent, integers only.
 std::string to_json(const StudySnapshot& snapshot);
 
-/// Parses a snapshot written by to_json (schema-checked).
+/// Parses a snapshot written by to_json. Rejects a wrong schema, an unknown
+/// or missing top-level key, a row missing any field, and an empty classes,
+/// matrix, probes or specimens section.
 util::Result<StudySnapshot> parse_snapshot(std::string_view text);
 
 /// Tolerance bands for distribution drift. Rates are compared as exact

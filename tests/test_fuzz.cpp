@@ -2,9 +2,9 @@
 // crash — arbitrary inputs may be rejected (kError / kBadRequest / ignored)
 // but a kCrash from an un-armed engine would be a real bug in the
 // reproduction itself. The parsers of outside input (JSON documents,
-// tracker dumps, mbox archives) must reject mutated input cleanly, never
-// throw, and read back what the library itself writes. The generators are
-// seeded, so failures replay.
+// tracker dumps, mbox archives, `classify` reports) must reject mutated
+// input cleanly, never throw, and read back what the library itself
+// writes. The generators are seeded, so failures replay.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,10 +15,13 @@
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
 #include "apps/ui/toolkit.hpp"
+#include "core/rule_classifier.hpp"
+#include "corpus/seeds.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/synth.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace faultstudy {
 namespace {
@@ -310,6 +313,39 @@ TEST(FuzzCorpus, MboxDumpsRoundTripAndMutantsNeverThrow) {
     return corpus::mailinglist_from_mbox(t);
   });
   EXPECT_GT(rejected, 0);  // most mutants still parse: mbox is permissive
+}
+
+/// A seed's report in the `classify` input format.
+std::string report_text(const corpus::SeedFault& seed) {
+  return "Title: " + seed.title + "\nHow-To-Repeat: " + seed.how_to_repeat +
+         "\nComments: " + seed.developer_comment + "\n";
+}
+
+TEST(FuzzClassify, ReportFieldsRoundTripAndMutantsNeverThrow) {
+  std::vector<std::string> reports;
+  for (const corpus::SeedFault& seed : corpus::all_seeds()) {
+    reports.push_back(report_text(seed));
+    const core::ReportText parsed = core::parse_report_text(reports.back());
+    EXPECT_EQ(parsed.title, seed.title);
+    EXPECT_EQ(parsed.how_to_repeat, seed.how_to_repeat);
+    EXPECT_EQ(parsed.developer_comments, seed.developer_comment);
+    EXPECT_EQ(parsed.body, "\n");  // the empty line after the last newline
+  }
+  util::Rng rng(111);
+  const core::RuleClassifier classifier;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string mutant = mutate(
+        rng, reports[static_cast<std::size_t>(rng.below(reports.size()))]);
+    core::ReportText parsed;
+    ASSERT_NO_THROW(parsed = core::parse_report_text(mutant));
+    // A field holds the rest of one line, trimmed.
+    for (const std::string& field : {parsed.title, parsed.how_to_repeat,
+                                      parsed.developer_comments}) {
+      EXPECT_EQ(field.find('\n'), std::string::npos);
+      EXPECT_EQ(util::trim(field), field);
+    }
+    EXPECT_NO_THROW((void)classifier.classify(parsed));
+  }
 }
 
 }  // namespace

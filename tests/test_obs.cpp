@@ -230,6 +230,17 @@ std::string without_member(std::string text, const std::string& key) {
   return text;
 }
 
+/// `text` with every `, "<key>": <integer>` row member removed.
+std::string without_row_member(std::string text, const std::string& key) {
+  const std::string member = ", \"" + key + "\": ";
+  for (std::size_t at = text.find(member); at != std::string::npos;
+       at = text.find(member, at)) {
+    text.erase(at, text.find_first_not_of("0123456789", at + member.size()) -
+                       at);
+  }
+  return text;
+}
+
 class BaselineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -240,7 +251,7 @@ class BaselineTest : public ::testing::Test {
     matrix_ = harness::run_matrix(seeds_, mechanisms_, config, 2, nullptr,
                                   nullptr, &atlas_);
     telemetry::MetricsRegistry registry;
-    registry.add(registry.counter("study/example"), 7, 0);
+    registry.add(registry.counter("study/example"), 7);
     snapshot_ = obs::build_snapshot(seeds_, matrix_, atlas_,
                                     registry.snapshot(), 99, 2);
   }
@@ -330,6 +341,42 @@ TEST_F(BaselineTest, ParseRequiresEverySection) {
     EXPECT_FALSE(obs::parse_snapshot(text).ok())
         << "accepted a snapshot without " << key;
   }
+}
+
+// The three hollow edits of a snapshot the drift gate once accepted: each
+// switched off a check while `study_diff check` still exited 0.
+
+TEST_F(BaselineTest, ParseRejectsAnEmptyMatrix) {
+  std::string text = obs::to_json(snapshot_);
+  const std::size_t open = text.find("\"matrix\": [") + 11;
+  text.erase(open, text.find("\n  ]", open) + 3 - open);
+  ASSERT_NE(text.find("\"matrix\": [],"), std::string::npos);
+  ASSERT_TRUE(util::json::parse(text).ok());
+  EXPECT_FALSE(obs::parse_snapshot(text).ok());
+}
+
+TEST_F(BaselineTest, ParseRejectsSpecimensWithoutCounts) {
+  const std::string text = without_row_member(
+      without_row_member(obs::to_json(snapshot_), "probes_hit"), "trials");
+  ASSERT_EQ(text.find("probes_hit"), std::string::npos);
+  ASSERT_TRUE(util::json::parse(text).ok());
+  EXPECT_FALSE(obs::parse_snapshot(text).ok());
+}
+
+TEST_F(BaselineTest, ParseRejectsMatrixRowsWithoutLossCounts) {
+  const std::string text = without_row_member(
+      without_row_member(obs::to_json(snapshot_), "vacuous"), "state_losses");
+  ASSERT_EQ(text.find("state_losses"), std::string::npos);
+  ASSERT_TRUE(util::json::parse(text).ok());
+  EXPECT_FALSE(obs::parse_snapshot(text).ok());
+}
+
+TEST_F(BaselineTest, MechanismOnOnlyOneSideIsFatal) {
+  obs::StudySnapshot fewer = snapshot_;
+  ASSERT_GT(fewer.matrix.size(), 1u);
+  fewer.matrix.pop_back();
+  EXPECT_TRUE(obs::diff(snapshot_, fewer).regressed());
+  EXPECT_TRUE(obs::diff(fewer, snapshot_).regressed());
 }
 
 TEST_F(BaselineTest, ParseRejectsUnknownKeys) {

@@ -104,21 +104,6 @@ TEST(MetricsRegistry, ManySharedPrefixNamesKeepTheirIds) {
   EXPECT_EQ(total, 300u * 301u / 2);
 }
 
-TEST(MetricsRegistry, ShardsFoldIntoOneSnapshotValue) {
-  telemetry::MetricsRegistry reg(4);
-  const auto c = reg.counter("hits");
-  const auto g = reg.gauge("depth");
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    reg.add(c, shard + 1, shard);
-    reg.peak(g, static_cast<std::int64_t>(shard * 10), shard);
-  }
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value, 1u + 2u + 3u + 4u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 30);
-}
-
 TEST(MetricsRegistry, SnapshotSortsByName) {
   telemetry::MetricsRegistry reg;
   reg.add(reg.counter("zebra"));
@@ -127,22 +112,6 @@ TEST(MetricsRegistry, SnapshotSortsByName) {
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "alpha");
   EXPECT_EQ(snap.counters[1].name, "zebra");
-}
-
-TEST(MetricsRegistry, MergeFromUnionsByName) {
-  telemetry::MetricsRegistry a;
-  telemetry::MetricsRegistry b;
-  a.add(a.counter("shared"), 2);
-  b.add(b.counter("shared"), 3);
-  b.add(b.counter("only_b"), 1);
-  b.peak(b.gauge("high"), 7);
-  a.merge_from(b);
-  const auto snap = a.snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].name, "only_b");
-  EXPECT_EQ(snap.counters[1].value, 5u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 7);
 }
 
 // --- spans ----------------------------------------------------------------
@@ -215,9 +184,10 @@ TEST(Exporters, ChromeTraceEmitsCompleteEvents) {
 TEST(Exporters, PrometheusSanitizesNamesAndExpandsHistograms) {
   telemetry::MetricsRegistry reg;
   reg.add(reg.counter("env/proc/spawns"), 4);
-  const auto id = reg.histogram("lat", {1, 2});
-  reg.observe(id, 1);
-  reg.observe(id, 99);
+  telemetry::Histogram lat({1, 2});
+  lat.observe(1);
+  lat.observe(99);
+  reg.merge_histogram(reg.histogram("lat", lat.bounds()), lat);
   const auto text = telemetry::to_prometheus(reg.snapshot());
   // Counters get the conventional _total suffix plus HELP/TYPE headers.
   EXPECT_NE(text.find("env_proc_spawns_total 4"), std::string::npos);
@@ -234,8 +204,10 @@ TEST(Exporters, PrometheusOutputPassesLintRules) {
   reg.add(reg.counter("9starts/with-digit"), 1);
   reg.add(reg.counter("already_total"), 2);
   reg.peak(reg.gauge("peak.procs"), 7);
-  const auto snapid = reg.histogram("recovery/latency", {10, 100});
-  reg.observe(snapid, 5);
+  telemetry::Histogram latency({10, 100});
+  latency.observe(5);
+  reg.merge_histogram(reg.histogram("recovery/latency", latency.bounds()),
+                      latency);
   const auto text = telemetry::to_prometheus(reg.snapshot());
 
   // Promtool-style lint: every line is a comment or `name{labels} value`
