@@ -3,7 +3,7 @@
 //   faultstudy_cli classify             # read a report from stdin, classify
 //   faultstudy_cli corpus <app> <file>  # write the synthetic corpus to disk
 //   faultstudy_cli mine <app|file>      # run the mining pipeline, print table
-//   faultstudy_cli simulate <fault> <mechanism>   # one recovery trial
+//   faultstudy_cli simulate <fault> <mechanism>   # one narrated trial
 //   faultstudy_cli matrix               # the full recovery matrix
 //
 // `classify` reads the `Title:` / `How-To-Repeat:` / `Comments:` format of
@@ -14,10 +14,18 @@
 // synthetic corpus) or a path to a tracker dump / mbox file written by
 // `corpus` (or by you).
 //
+// `simulate` runs one trial through harness::run_trial, the same protocol
+// the matrix uses, and prints its verdict and then its transcript (failures,
+// recoveries, descriptor, process and disk deltas). `--repeats N` replays
+// the cell's first N matrix repeats (harness::repeat_seed) and prints how
+// many of the fault-observing ones survived, so one cell of the study can
+// be examined on its own.
+//
 // A global `--threads N` flag (anywhere on the command line) sets the
-// execution lanes for `matrix` and `mine`; results are bit-identical for
-// every value. Default: the FAULTSTUDY_THREADS environment variable, else
-// one lane per hardware thread. `--seed N` overrides the base trial seed.
+// execution lanes for `matrix`, `mine` and `simulate --repeats`; results are
+// bit-identical for every value. Default: the FAULTSTUDY_THREADS
+// environment variable, else one lane per hardware thread. `--seed N`
+// overrides the base trial seed.
 //
 // Telemetry:
 //   --telemetry=<path>   metrics snapshot; `.json` extension selects the
@@ -32,11 +40,14 @@
 //                        the atlas JSON, `.html` the heatmap, anything
 //                        else the text summary. Byte-identical for any
 //                        --threads.
-//   --baseline=<path>    matrix only: diff the run against a committed
-//                        study snapshot (study_diff writes one) and exit 4
-//                        on fatal drift.
+//   --baseline=<path>    a committed study snapshot (study_diff writes
+//                        one). matrix diffs the run against it and exits 4
+//                        on fatal drift; simulate prints what the study
+//                        recorded for the specimen beside the trial's own
+//                        probe count.
 //
 // Unknown `--` options are rejected with a usage error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,6 +82,8 @@ namespace {
 std::size_t g_threads = 0;
 /// Base trial seed; < 0 keeps each command's default.
 long long g_seed = -1;
+/// simulate: matrix repeats of the cell to replay after the narrated trial.
+std::size_t g_repeats = 0;
 std::string g_telemetry_path;
 std::string g_trace_path;
 std::string g_coverage_path;
@@ -91,20 +104,23 @@ int usage() {
       "  faultstudy_cli taxonomy                       (trigger ontology)\n"
       "  faultstudy_cli corpus <apache|gnome|mysql> <out-file>\n"
       "  faultstudy_cli mine <apache|gnome|mysql|dump-file>\n"
-      "  faultstudy_cli simulate <fault-id> <mechanism>\n"
+      "  faultstudy_cli simulate <fault-id> <mechanism> [--repeats N]\n"
       "  faultstudy_cli matrix\n"
       "  faultstudy_cli report <out.md>                (full study report)\n"
       "options:\n"
-      "  --threads N        execution lanes for matrix/mine (default: "
-      "FAULTSTUDY_THREADS, else hardware; results identical for any N)\n"
+      "  --threads N        execution lanes for matrix, mine and simulate "
+      "--repeats (default: FAULTSTUDY_THREADS, else hardware; results "
+      "identical for any N)\n"
       "  --seed N           base trial seed for simulate/matrix\n"
+      "  --repeats N        simulate: also run the cell's first N matrix "
+      "repeats and print how many survived (default 0)\n"
       "  --telemetry=PATH   write a metrics snapshot (.json = JSON, else "
       "Prometheus text)\n"
       "  --trace=PATH       write a Chrome trace_event timeline\n"
       "  --coverage=PATH    matrix/simulate: write the coverage atlas "
       "(.json = JSON, .html = heatmap, else text)\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
-      "on fatal drift\n"
+      "on fatal drift; simulate: print the study's record of the specimen\n"
       "  --log-level=LEVEL  diagnostic verbosity: debug|info|warn|error|off "
       "(default warn)\n",
       stderr);
@@ -119,6 +135,25 @@ bool write_file(const std::string& path, const std::string& payload) {
   }
   out << payload;
   return true;
+}
+
+/// Reads and parses the --baseline snapshot; says why on stderr and returns
+/// nothing when it cannot.
+std::optional<obs::StudySnapshot> read_baseline() {
+  std::ifstream in(g_baseline_path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", g_baseline_path.c_str());
+    return std::nullopt;
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  auto snapshot = obs::parse_snapshot(buf.str());
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "%s: %s\n", g_baseline_path.c_str(),
+                 snapshot.error().c_str());
+    return std::nullopt;
+  }
+  return std::move(snapshot).value();
 }
 
 /// Writes --telemetry / --trace outputs that were requested; returns 0 or 1.
@@ -314,15 +349,23 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
                  mechanism.c_str());
     return 1;
   }
+  std::optional<obs::StudySnapshot> baseline;
+  if (!g_baseline_path.empty()) {
+    baseline = read_baseline();
+    if (!baseline.has_value()) return 1;
+  }
   // Defaults match the pre-flag behavior exactly: plan seed 42, trial
   // config seed 99; --seed N sets both.
   harness::TrialConfig config;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
+  // The trial always runs traced for its narration; tracing adds no
+  // scheduler draws, so the verdict and every export are as untraced.
+  harness::TrialObservation observation;
   telemetry::TrialTelemetry telem;
   obs::CoverageMap cover;
-  harness::TrialSinks sinks;
+  harness::TrialSinks sinks{.observation = &observation};
   if (telemetry_wanted()) sinks.telemetry = &telem;
-  if (!g_coverage_path.empty()) sinks.coverage = &cover;
+  if (coverage_wanted()) sinks.coverage = &cover;
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = factory();
@@ -340,6 +383,7 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   if (!outcome.first_failure.empty()) {
     std::printf("first failure: %s\n", outcome.first_failure.c_str());
   }
+  std::printf("\n%s", observation.transcript.to_string().c_str());
   if (sinks.telemetry != nullptr) {
     telemetry::MetricsRegistry registry;
     telemetry::fold_into(telem, mechanism, registry);
@@ -353,6 +397,46 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
     atlas.begin_study({*seed}, {mechanism});
     atlas.fold_trial(*seed, cover);
     if (export_coverage(atlas) != 0) return 1;
+    if (baseline.has_value()) {
+      std::printf("baseline  : this trial hit %zu/%zu probes; ",
+                  atlas.probes_hit(), obs::CoverageAtlas::probe_universe());
+      const auto& rows = baseline->specimens;
+      const auto row =
+          std::find_if(rows.begin(), rows.end(),
+                       [&](const auto& r) { return r.fault_id == fault_id; });
+      if (row == rows.end()) {
+        std::printf("%s has no record of %s\n", g_baseline_path.c_str(),
+                    fault_id.c_str());
+      } else {
+        std::printf("the study recorded %llu probes hit over %llu "
+                    "trials\n",
+                    static_cast<unsigned long long>(row->probes_hit),
+                    static_cast<unsigned long long>(row->trials));
+      }
+    }
+  }
+  if (g_repeats > 0) {
+    // The matrix's own repeats of this cell: same seeds, same protocol, so
+    // a majority of these is the cell's vote in the study.
+    const auto outcomes = util::parallel_map<harness::TrialOutcome>(
+        g_repeats, g_threads, [&](std::size_t r) {
+          harness::TrialConfig tc = config;
+          tc.seed = harness::repeat_seed(config.seed, seed->fault_id, r);
+          auto repeat_mech = factory();
+          return harness::run_trial(inject::plan_for(*seed, tc.seed),
+                                    *repeat_mech, tc);
+        });
+    std::size_t observed = 0;
+    std::size_t survived = 0;
+    for (const auto& o : outcomes) {
+      if (!o.failure_observed) continue;
+      ++observed;
+      if (o.survived) ++survived;
+    }
+    std::printf("repeats   : survived %zu/%zu fault-observing trials "
+                "(%zu repeats, %zu lanes)\n",
+                survived, observed, g_repeats,
+                util::resolve_threads(g_threads));
   }
   return outcome.survived ? 0 : 3;
 }
@@ -376,7 +460,7 @@ int cmd_matrix() {
   const auto matrix =
       harness::run_matrix(seeds, harness::standard_mechanisms(), config,
                           kRepeats, tp, nullptr, ap);
-  report::AsciiTable t({"mechanism", "EI", "EDN", "EDT", "overall"});
+  report::AsciiTable t({"mechanism", "EI", "EDN", "EDT", "overall", "vacuous"});
   for (const auto& r : matrix.reports) {
     const auto cell = [&](core::FaultClass c) {
       const auto i = static_cast<std::size_t>(c);
@@ -386,7 +470,8 @@ int cmd_matrix() {
                cell(core::FaultClass::kEnvDependentNonTransient),
                cell(core::FaultClass::kEnvDependentTransient),
                util::percent(static_cast<double>(r.survived_all()) /
-                             static_cast<double>(r.total_all()))});
+                             static_cast<double>(r.total_all())),
+               std::to_string(r.vacuous)});
   }
   std::fputs(t.to_string().c_str(), stdout);
   // Publish atlas gauges before any snapshot is taken, so both the
@@ -395,22 +480,11 @@ int cmd_matrix() {
   if (export_coverage(atlas) != 0) return 1;
   int rc = 0;
   if (!g_baseline_path.empty()) {
-    std::ifstream in(g_baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", g_baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const auto baseline = obs::parse_snapshot(buf.str());
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "%s: %s\n", g_baseline_path.c_str(),
-                   baseline.error().c_str());
-      return 1;
-    }
+    const auto baseline = read_baseline();
+    if (!baseline.has_value()) return 1;
     const auto candidate = obs::build_snapshot(
         seeds, matrix, atlas, study.metrics.snapshot(), config.seed, kRepeats);
-    const auto drift = obs::diff(baseline.value(), candidate);
+    const auto drift = obs::diff(*baseline, candidate);
     std::fputs(obs::render_text(drift).c_str(), stdout);
     if (drift.regressed()) rc = 4;
   }
@@ -439,12 +513,16 @@ int main(int argc, char** argv) {
       g_threads = static_cast<std::size_t>(n);
       continue;
     }
-    if (arg == "--seed") {
+    if (arg == "--seed" || arg == "--repeats") {
       if (i + 1 >= argc) return usage();
       char* end = nullptr;
       const long long n = std::strtoll(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0' || n < 0) return usage();
-      g_seed = n;
+      if (arg == "--seed") {
+        g_seed = n;
+      } else {
+        g_repeats = static_cast<std::size_t>(n);
+      }
       continue;
     }
     if (arg.starts_with("--telemetry=")) {
@@ -482,6 +560,7 @@ int main(int argc, char** argv) {
   }
   if (args.empty()) return usage();
   const std::string& cmd = args[0];
+  if (g_repeats > 0 && cmd != "simulate") return usage();
   if (cmd == "classify") return cmd_classify();
   if (cmd == "taxonomy") return cmd_taxonomy();
   if (cmd == "corpus" && args.size() == 3) return cmd_corpus(args[1], args[2]);

@@ -1,7 +1,6 @@
 #include "analysis/invariant_checker.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 
 namespace faultstudy::analysis {
 
@@ -13,8 +12,6 @@ std::string_view to_string(InvariantRule rule) noexcept {
       return "process-slot-leak";
     case InvariantRule::kWriteDuringRecovery:
       return "write-during-recovery";
-    case InvariantRule::kSignalToDeadPid:
-      return "signal-to-dead-pid";
   }
   return "?";
 }
@@ -29,7 +26,6 @@ std::vector<InvariantViolation> check_transcript(
 
   // pid -> transcript index of its spawn; erased on kill.
   std::unordered_map<std::size_t, std::size_t> live_pids;
-  std::unordered_set<std::size_t> dead_pids;
 
   bool in_recovery = false;
   std::size_t recovery_began_at = 0;
@@ -46,20 +42,9 @@ std::vector<InvariantViolation> check_transcript(
 
       case harness::EventKind::kProcSpawn:
         live_pids[event.item] = i;
-        dead_pids.erase(event.item);
         break;
       case harness::EventKind::kProcKill:
         live_pids.erase(event.item);
-        dead_pids.insert(event.item);
-        break;
-
-      case harness::EventKind::kSignalRaise:
-        if (dead_pids.count(event.item) != 0) {
-          violations.push_back(
-              {InvariantRule::kSignalToDeadPid, i,
-               "signal raised at pid " + std::to_string(event.item) +
-                   " after it was killed"});
-        }
         break;
 
       case harness::EventKind::kRecoveryBegin:
@@ -97,7 +82,6 @@ std::vector<InvariantViolation> check_transcript(
         break;
 
       case harness::EventKind::kStart:
-      case harness::EventKind::kItemOk:
       case harness::EventKind::kFailure:
       case harness::EventKind::kVerdict:
       case harness::EventKind::kRollback:

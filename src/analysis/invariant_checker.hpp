@@ -2,10 +2,10 @@
 //
 // A trial transcript (harness/transcript.hpp) records the resource-level
 // events the harness observed: descriptor acquisitions, process spawns and
-// kills, disk writes, rollbacks, signal raises. The checker
-// scans a finished transcript for violations of the resource protocol —
-// without re-running anything, which is what lets it audit transcripts from
-// any mechanism or fault combination after the fact:
+// kills, disk writes, rollbacks. The checker scans a finished transcript for
+// violations of the resource protocol — without re-running anything, which
+// is what lets it audit transcripts from any mechanism or fault combination
+// after the fact:
 //
 //   kFdLeak             descriptors opened and never closed by trial end —
 //                       the resource-leak signature that defeats
@@ -18,10 +18,6 @@
 //   kWriteDuringRecovery a disk write between recovery-begin and its
 //                       verdict: rollback must restore state, never
 //                       generate new writes.
-//   kSignalToDeadPid    a signal raised at a pid that was already killed
-//                       and never respawned. harness::run_trial never
-//                       records kSignalRaise, so this rule fires only on
-//                       transcripts built by hand, as in the tests.
 //
 // The checker only touches inline accessors of the transcript types, so it
 // layers below the harness (fs_harness links fs_analysis, not vice versa).
@@ -40,14 +36,6 @@ enum class InvariantRule : std::uint8_t {
   kFdLeak = 0,
   kProcessSlotLeak,
   kWriteDuringRecovery,
-  kSignalToDeadPid,
-};
-
-inline constexpr InvariantRule kAllInvariantRules[] = {
-    InvariantRule::kFdLeak,
-    InvariantRule::kProcessSlotLeak,
-    InvariantRule::kWriteDuringRecovery,
-    InvariantRule::kSignalToDeadPid,
 };
 
 std::string_view to_string(InvariantRule rule) noexcept;

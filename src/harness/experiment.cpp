@@ -223,9 +223,10 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
               static_cast<std::uint64_t>(environment.now() - item_start));
     if (recorder.has_value()) {
       recorder->observe(i);
-      observation->transcript.record(
-          apps::is_failure(result) ? EventKind::kFailure : EventKind::kItemOk,
-          environment.now(), i, result.detail);
+      if (apps::is_failure(result)) {
+        observation->transcript.record(EventKind::kFailure, environment.now(),
+                                       i, result.detail);
+      }
     }
     if (!apps::is_failure(result)) {
       mechanism.on_item_success(*app, environment);
@@ -395,8 +396,8 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         }
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
-          tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
-                    util::fnv1a(seed.fault_id);
+          tc.seed = repeat_seed(config.seed, seed.fault_id,
+                                static_cast<std::size_t>(r));
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
           if (sinks.forensics != nullptr) lane_forensics.ring.clear();

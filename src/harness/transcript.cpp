@@ -1,43 +1,35 @@
 #include "harness/transcript.hpp"
 
-#include "util/strings.hpp"
+#include <iterator>
+#include <string_view>
 
 namespace faultstudy::harness {
 
 namespace {
-std::string_view kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kStart:
-      return "start";
-    case EventKind::kItemOk:
-      return "ok";
-    case EventKind::kFailure:
-      return "FAILURE";
-    case EventKind::kRecoveryBegin:
-      return "recovery...";
-    case EventKind::kRecoveryOk:
-      return "recovered";
-    case EventKind::kRecoveryFailed:
-      return "RECOVERY FAILED";
-    case EventKind::kVerdict:
-      return "verdict";
-    case EventKind::kFdOpen:
-      return "fd-open";
-    case EventKind::kFdClose:
-      return "fd-close";
-    case EventKind::kProcSpawn:
-      return "proc-spawn";
-    case EventKind::kProcKill:
-      return "proc-kill";
-    case EventKind::kDiskWrite:
-      return "disk-write";
-    case EventKind::kRollback:
-      return "rollback";
-    case EventKind::kSignalRaise:
-      return "signal-raise";
-  }
-  return "?";
-}
+/// Per kind, in enum order: its name and how its `item` reads
+/// ("<before>N<after>"); start and verdict carry no operand.
+struct Label {
+  std::string_view name;
+  bool operand;
+  std::string_view before;
+  std::string_view after;
+};
+constexpr Label kLabels[] = {
+    {"start", false, "", ""},
+    {"FAILURE", true, "item ", ""},
+    {"recovery...", true, "item ", ""},
+    {"recovered", true, "item ", ""},
+    {"RECOVERY FAILED", true, "item ", ""},
+    {"verdict", false, "", ""},
+    {"fd-open", true, "", " fds"},
+    {"fd-close", true, "", " fds"},
+    {"proc-spawn", true, "pid ", ""},
+    {"proc-kill", true, "pid ", ""},
+    {"disk-write", true, "", " bytes"},
+    {"rollback", true, "", " items rewound"},
+};
+static_assert(std::size(kLabels) ==
+              static_cast<std::size_t>(EventKind::kRollback) + 1);
 }  // namespace
 
 void Transcript::record(EventKind kind, env::Tick at, std::size_t item,
@@ -45,23 +37,20 @@ void Transcript::record(EventKind kind, env::Tick at, std::size_t item,
   events_.push_back({kind, at, item, std::move(detail)});
 }
 
-std::size_t Transcript::count(EventKind kind) const noexcept {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
 std::string Transcript::to_string() const {
   std::string out;
   for (const auto& e : events_) {
+    const Label& label = kLabels[static_cast<std::size_t>(e.kind)];
     out += "[t=";
     out += std::to_string(e.at);
-    out += "] item ";
-    out += std::to_string(e.item);
-    out += ' ';
-    out += kind_name(e.kind);
+    out += "] ";
+    out += label.name;
+    if (label.operand) {
+      out += ' ';
+      out += label.before;
+      out += std::to_string(e.item);
+      out += label.after;
+    }
     if (!e.detail.empty()) {
       out += ": ";
       out += e.detail;

@@ -1,6 +1,7 @@
 // Trial transcripts: a structured, append-only record of what happened
-// during a trial, for the examples and for post-mortem inspection of
-// surprising matrix cells.
+// during a traced trial. The invariant checker audits it, post-mortems count
+// its violations, and `faultstudy_cli simulate` prints it as the trial's
+// narration. Successful items are not recorded: no reader needs them.
 #pragma once
 
 #include <cstdint>
@@ -11,9 +12,10 @@
 
 namespace faultstudy::harness {
 
+/// Transcript::to_string labels kinds by their enum order; keep kRollback
+/// last.
 enum class EventKind : std::uint8_t {
   kStart,
-  kItemOk,
   kFailure,
   kRecoveryBegin,
   kRecoveryOk,
@@ -22,13 +24,12 @@ enum class EventKind : std::uint8_t {
   // -- resource-level events, the invariant checker's input
   //    (analysis/invariant_checker.hpp). `item` carries the count/pid/bytes
   //    noted per kind. --
-  kFdOpen,       ///< item = descriptors acquired beyond the running balance
-  kFdClose,      ///< item = descriptors released
-  kProcSpawn,    ///< item = pid of the spawned process
-  kProcKill,     ///< item = pid of the killed process
-  kDiskWrite,    ///< item = bytes written
-  kRollback,     ///< item = workload items rewound past
-  kSignalRaise,  ///< item = pid the signal targets
+  kFdOpen,     ///< item = descriptors acquired beyond the running balance
+  kFdClose,    ///< item = descriptors released
+  kProcSpawn,  ///< item = pid of the spawned process
+  kProcKill,   ///< item = pid of the killed process
+  kDiskWrite,  ///< item = bytes written
+  kRollback,   ///< item = workload items rewound past
 };
 
 struct Event {
@@ -45,9 +46,8 @@ class Transcript {
 
   const std::vector<Event>& events() const noexcept { return events_; }
 
-  std::size_t count(EventKind kind) const noexcept;
-
-  /// Multi-line human-readable rendering.
+  /// Multi-line human-readable rendering; each event's `item` is labelled
+  /// by what its kind carries ("item 3", "4 fds", "pid 105", "256 bytes").
   std::string to_string() const;
 
  private:

@@ -71,7 +71,7 @@ class CoverageAtlas {
                  const CoverageMap& probes, std::uint64_t trials,
                  std::uint64_t observed, std::uint64_t survived);
 
-  /// Folds a single stand-alone trial (simulate / recovery_lab paths).
+  /// Folds a single stand-alone trial (`faultstudy_cli simulate`).
   void fold_trial(const corpus::SeedFault& seed, const CoverageMap& probes);
 
   // --- the folded planes ---

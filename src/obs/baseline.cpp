@@ -422,9 +422,12 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
              std::to_string(it->total[c]));
       }
     }
+    // At an unchanged seed a fault that stops (or starts) triggering moves
+    // between a denominator and `vacuous`, often without moving any rate
+    // past its band, so any change here is fatal.
     if (b.vacuous != it->vacuous) {
-      note(b.mechanism + " vacuous trials " + std::to_string(b.vacuous) +
-           " -> " + std::to_string(it->vacuous));
+      fatal(b.mechanism + " vacuous trials " + std::to_string(b.vacuous) +
+            " -> " + std::to_string(it->vacuous));
     }
     if (b.state_losses != it->state_losses) {
       note(b.mechanism + " state losses " + std::to_string(b.state_losses) +

@@ -375,26 +375,6 @@ TEST(InvariantCheckerTest, WritesOutsideRecoveryClean) {
   EXPECT_TRUE(analysis::check_transcript(t).empty());
 }
 
-TEST(InvariantCheckerTest, FlagsSignalToDeadPid) {
-  harness::Transcript t;
-  t.record(EventKind::kProcSpawn, 0, 501);
-  t.record(EventKind::kProcKill, 1, 501);
-  t.record(EventKind::kSignalRaise, 2, 501);
-  const auto violations = analysis::check_transcript(t);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].rule, InvariantRule::kSignalToDeadPid);
-}
-
-TEST(InvariantCheckerTest, SignalToRespawnedPidClean) {
-  harness::Transcript t;
-  t.record(EventKind::kProcSpawn, 0, 501);
-  t.record(EventKind::kProcKill, 1, 501);
-  t.record(EventKind::kProcSpawn, 2, 501);  // pid reused
-  t.record(EventKind::kSignalRaise, 3, 501);
-  t.record(EventKind::kProcKill, 4, 501);
-  EXPECT_TRUE(analysis::check_transcript(t).empty());
-}
-
 TEST(InvariantCheckerTest, TracedLeakTrialFlagsFdLeak) {
   // An armed descriptor-leak fault must show up as an fd-leak violation in
   // its own transcript: the checker is an independent oracle for the

@@ -371,6 +371,23 @@ TEST_F(BaselineTest, ParseRejectsMatrixRowsWithoutLossCounts) {
   EXPECT_FALSE(obs::parse_snapshot(text).ok());
 }
 
+TEST_F(BaselineTest, VacuousChangeIsFatal) {
+  // One fault stops triggering under one mechanism: it leaves the EDT
+  // denominator for `vacuous`, and the cell's survival rate does not move.
+  obs::StudySnapshot baseline = snapshot_;
+  auto& row = baseline.matrix[0];
+  row.total = {0, 0, 12};
+  row.survived = {0, 0, 12};
+  row.vacuous = 0;
+  obs::StudySnapshot dropped = baseline;
+  dropped.matrix[0].total[2] = 11;
+  dropped.matrix[0].survived[2] = 11;
+  dropped.matrix[0].vacuous = 1;
+  EXPECT_TRUE(obs::diff(baseline, dropped).regressed())
+      << obs::render_text(obs::diff(baseline, dropped));
+  EXPECT_TRUE(obs::diff(dropped, baseline).regressed());
+}
+
 TEST_F(BaselineTest, MechanismOnOnlyOneSideIsFatal) {
   obs::StudySnapshot fewer = snapshot_;
   ASSERT_GT(fewer.matrix.size(), 1u);
