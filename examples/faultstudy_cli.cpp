@@ -16,16 +16,15 @@
 //
 // `simulate` runs one trial through harness::run_trial, the same protocol
 // the matrix uses, and prints its verdict and then its transcript (failures,
-// recoveries, descriptor, process and disk deltas). `--repeats N` replays
-// the cell's first N matrix repeats (harness::repeat_seed) and prints how
-// many of the fault-observing ones survived, so one cell of the study can
-// be examined on its own.
+// recoveries, descriptor, process and disk deltas). Beside the verdict it
+// prints the cell's vote in `matrix`: harness::run_matrix over just this
+// (fault, mechanism) cell, so one cell of the study can be examined on its
+// own.
 //
 // A global `--threads N` flag (anywhere on the command line) sets the
-// execution lanes for `matrix`, `mine` and `simulate --repeats`; results are
-// bit-identical for every value. Default: the FAULTSTUDY_THREADS
-// environment variable, else one lane per hardware thread. `--seed N`
-// overrides the base trial seed.
+// execution lanes for `matrix` and `mine`; results are bit-identical for
+// every value. Default: the FAULTSTUDY_THREADS environment variable, else
+// one lane per hardware thread. `--seed N` overrides the base trial seed.
 //
 // Telemetry:
 //   --telemetry=<path>   metrics snapshot; `.json` extension selects the
@@ -82,8 +81,8 @@ namespace {
 std::size_t g_threads = 0;
 /// Base trial seed; < 0 keeps each command's default.
 long long g_seed = -1;
-/// simulate: matrix repeats of the cell to replay after the narrated trial.
-std::size_t g_repeats = 0;
+/// Trials per matrix cell; the cell's vote is their majority.
+constexpr int kRepeats = 3;
 std::string g_telemetry_path;
 std::string g_trace_path;
 std::string g_coverage_path;
@@ -104,16 +103,13 @@ int usage() {
       "  faultstudy_cli taxonomy                       (trigger ontology)\n"
       "  faultstudy_cli corpus <apache|gnome|mysql> <out-file>\n"
       "  faultstudy_cli mine <apache|gnome|mysql|dump-file>\n"
-      "  faultstudy_cli simulate <fault-id> <mechanism> [--repeats N]\n"
+      "  faultstudy_cli simulate <fault-id> <mechanism>\n"
       "  faultstudy_cli matrix\n"
       "  faultstudy_cli report <out.md>                (full study report)\n"
       "options:\n"
-      "  --threads N        execution lanes for matrix, mine and simulate "
-      "--repeats (default: FAULTSTUDY_THREADS, else hardware; results "
-      "identical for any N)\n"
+      "  --threads N        execution lanes for matrix/mine (default: "
+      "FAULTSTUDY_THREADS, else hardware; results identical for any N)\n"
       "  --seed N           base trial seed for simulate/matrix\n"
-      "  --repeats N        simulate: also run the cell's first N matrix "
-      "repeats and print how many survived (default 0)\n"
       "  --telemetry=PATH   write a metrics snapshot (.json = JSON, else "
       "Prometheus text)\n"
       "  --trace=PATH       write a Chrome trace_event timeline\n"
@@ -338,11 +334,12 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
     std::fprintf(stderr, "unknown fault id %s\n", fault_id.c_str());
     return 1;
   }
-  harness::MechanismFactory factory;
-  for (const auto& nm : harness::standard_mechanisms()) {
-    if (nm.name == mechanism) factory = nm.make;
+  const auto mechanisms = harness::standard_mechanisms();
+  const harness::NamedMechanism* named = nullptr;
+  for (const auto& nm : mechanisms) {
+    if (nm.name == mechanism) named = &nm;
   }
-  if (!factory) {
+  if (named == nullptr) {
     std::fprintf(stderr, "unknown mechanism %s (try process-pairs, "
                          "rollback-retry, progressive-retry, cold-restart, "
                          "rejuvenation, app-specific)\n",
@@ -368,7 +365,7 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   if (coverage_wanted()) sinks.coverage = &cover;
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
-  auto mech = factory();
+  auto mech = named->make();
   const auto outcome = harness::run_trial(plan, *mech, config, sinks);
   std::printf("simulate  : seed=%llu threads=1\n",
               static_cast<unsigned long long>(config.seed));
@@ -380,6 +377,26 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
               outcome.recoveries);
   std::printf("verdict   : %s\n",
               outcome.survived ? "SURVIVED" : "NOT SURVIVED");
+  {
+    // The cell's vote in `matrix`, from the matrix itself. One cell runs
+    // on one lane whatever --threads says.
+    harness::TrialConfig cell_config = config;
+    cell_config.threads = 1;
+    obs::CoverageAtlas cell_atlas;
+    const auto cell = harness::run_matrix({*seed}, {*named}, cell_config,
+                                          kRepeats, nullptr, nullptr,
+                                          &cell_atlas);
+    const auto& report = cell.reports[0];
+    const auto& grid = cell_atlas.grids()[0];
+    const auto t = static_cast<std::size_t>(seed->trigger);
+    std::printf("matrix    : %s (survived %llu/%llu fault-observing repeats "
+                "of %d)\n",
+                report.vacuous > 0            ? "VACUOUS"
+                : report.survived_all() > 0   ? "SURVIVED"
+                                              : "NOT SURVIVED",
+                static_cast<unsigned long long>(grid.survived[t]),
+                static_cast<unsigned long long>(grid.observed[t]), kRepeats);
+  }
   if (!outcome.first_failure.empty()) {
     std::printf("first failure: %s\n", outcome.first_failure.c_str());
   }
@@ -415,34 +432,10 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
       }
     }
   }
-  if (g_repeats > 0) {
-    // The matrix's own repeats of this cell: same seeds, same protocol, so
-    // a majority of these is the cell's vote in the study.
-    const auto outcomes = util::parallel_map<harness::TrialOutcome>(
-        g_repeats, g_threads, [&](std::size_t r) {
-          harness::TrialConfig tc = config;
-          tc.seed = harness::repeat_seed(config.seed, seed->fault_id, r);
-          auto repeat_mech = factory();
-          return harness::run_trial(inject::plan_for(*seed, tc.seed),
-                                    *repeat_mech, tc);
-        });
-    std::size_t observed = 0;
-    std::size_t survived = 0;
-    for (const auto& o : outcomes) {
-      if (!o.failure_observed) continue;
-      ++observed;
-      if (o.survived) ++survived;
-    }
-    std::printf("repeats   : survived %zu/%zu fault-observing trials "
-                "(%zu repeats, %zu lanes)\n",
-                survived, observed, g_repeats,
-                util::resolve_threads(g_threads));
-  }
   return outcome.survived ? 0 : 3;
 }
 
 int cmd_matrix() {
-  constexpr int kRepeats = 3;
   harness::TrialConfig config;
   config.threads = g_threads;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
@@ -513,16 +506,12 @@ int main(int argc, char** argv) {
       g_threads = static_cast<std::size_t>(n);
       continue;
     }
-    if (arg == "--seed" || arg == "--repeats") {
+    if (arg == "--seed") {
       if (i + 1 >= argc) return usage();
       char* end = nullptr;
       const long long n = std::strtoll(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0' || n < 0) return usage();
-      if (arg == "--seed") {
-        g_seed = n;
-      } else {
-        g_repeats = static_cast<std::size_t>(n);
-      }
+      g_seed = n;
       continue;
     }
     if (arg.starts_with("--telemetry=")) {
@@ -560,7 +549,6 @@ int main(int argc, char** argv) {
   }
   if (args.empty()) return usage();
   const std::string& cmd = args[0];
-  if (g_repeats > 0 && cmd != "simulate") return usage();
   if (cmd == "classify") return cmd_classify();
   if (cmd == "taxonomy") return cmd_taxonomy();
   if (cmd == "corpus" && args.size() == 3) return cmd_corpus(args[1], args[2]);

@@ -396,8 +396,8 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         }
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
-          tc.seed = repeat_seed(config.seed, seed.fault_id,
-                                static_cast<std::size_t>(r));
+          tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
+                    util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
           if (sinks.forensics != nullptr) lane_forensics.ring.clear();

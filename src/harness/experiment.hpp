@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/aggregate.hpp"
@@ -26,7 +25,6 @@
 #include "obs/atlas.hpp"
 #include "recovery/mechanism.hpp"
 #include "telemetry/trial.hpp"
-#include "util/rng.hpp"
 
 namespace faultstudy::harness {
 
@@ -152,22 +150,12 @@ struct MatrixResult {
   std::size_t fault_count = 0;
 };
 
-/// Trial seed of repeat `r` of a matrix cell: derived from the fault id,
-/// never from a shared stream, so cells are independent of execution order.
-/// The injection plan and the TrialConfig of that repeat both take it, so
-/// `faultstudy_cli simulate --repeats` reproduces a cell's votes exactly.
-inline std::uint64_t repeat_seed(std::uint64_t base, std::string_view fault_id,
-                                 std::size_t r) noexcept {
-  return base + static_cast<std::uint64_t>(r) * 7919 + util::fnv1a(fault_id);
-}
-
 /// Runs the full fault x mechanism matrix over the given seeds. `repeats`
-/// runs each (fault, mechanism) cell several times with different seeds
-/// (repeat_seed) and counts the cell as survived when a majority of repeats
-/// survive (races are probabilistic). Cells run on `config.threads` lanes;
-/// the result is identical for every thread count. Mechanism factories must
-/// be safe to invoke concurrently (the standard roster's stateless lambdas
-/// are).
+/// runs each (fault, mechanism) cell several times with different seeds and
+/// counts the cell as survived when a majority of repeats survive (races
+/// are probabilistic). Cells run on `config.threads` lanes; the result is
+/// identical for every thread count. Mechanism factories must be safe to
+/// invoke concurrently (the standard roster's stateless lambdas are).
 /// The three trailing views are optional; each attached one feeds every
 /// trial. Repeats of a cell fold into one per-cell aggregate held in the
 /// cell's index slot, and one serial reduction folds cells in (mechanism,

@@ -1,35 +1,48 @@
 #include "harness/transcript.hpp"
 
-#include <iterator>
 #include <string_view>
 
 namespace faultstudy::harness {
 
 namespace {
-/// Per kind, in enum order: its name and how its `item` reads
-/// ("<before>N<after>"); start and verdict carry no operand.
+/// How an event reads: its kind's name, then its `item` as
+/// "<before>N<after>" unless the kind carries no operand.
 struct Label {
   std::string_view name;
   bool operand;
   std::string_view before;
   std::string_view after;
 };
-constexpr Label kLabels[] = {
-    {"start", false, "", ""},
-    {"FAILURE", true, "item ", ""},
-    {"recovery...", true, "item ", ""},
-    {"recovered", true, "item ", ""},
-    {"RECOVERY FAILED", true, "item ", ""},
-    {"verdict", false, "", ""},
-    {"fd-open", true, "", " fds"},
-    {"fd-close", true, "", " fds"},
-    {"proc-spawn", true, "pid ", ""},
-    {"proc-kill", true, "pid ", ""},
-    {"disk-write", true, "", " bytes"},
-    {"rollback", true, "", " items rewound"},
-};
-static_assert(std::size(kLabels) ==
-              static_cast<std::size_t>(EventKind::kRollback) + 1);
+
+Label label_of(EventKind kind) {
+  switch (kind) {
+    case EventKind::kStart:
+      return {"start", false, "", ""};
+    case EventKind::kFailure:
+      return {"FAILURE", true, "item ", ""};
+    case EventKind::kRecoveryBegin:
+      return {"recovery...", true, "item ", ""};
+    case EventKind::kRecoveryOk:
+      return {"recovered", true, "item ", ""};
+    case EventKind::kRecoveryFailed:
+      return {"RECOVERY FAILED", true, "item ", ""};
+    case EventKind::kVerdict:
+      return {"verdict", false, "", ""};
+    case EventKind::kFdOpen:
+      return {"fd-open", true, "", " fds"};
+    case EventKind::kFdClose:
+      return {"fd-close", true, "", " fds"};
+    case EventKind::kProcSpawn:
+      return {"proc-spawn", true, "pid ", ""};
+    case EventKind::kProcKill:
+      return {"proc-kill", true, "pid ", ""};
+    case EventKind::kDiskWrite:
+      return {"disk-write", true, "", " bytes"};
+    case EventKind::kRollback:
+      return {"rollback", true, "", " items rewound"};
+  }
+  return {"?", false, "", ""};
+}
 }  // namespace
 
 void Transcript::record(EventKind kind, env::Tick at, std::size_t item,
@@ -40,7 +53,7 @@ void Transcript::record(EventKind kind, env::Tick at, std::size_t item,
 std::string Transcript::to_string() const {
   std::string out;
   for (const auto& e : events_) {
-    const Label& label = kLabels[static_cast<std::size_t>(e.kind)];
+    const Label label = label_of(e.kind);
     out += "[t=";
     out += std::to_string(e.at);
     out += "] ";

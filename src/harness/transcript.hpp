@@ -12,8 +12,6 @@
 
 namespace faultstudy::harness {
 
-/// Transcript::to_string labels kinds by their enum order; keep kRollback
-/// last.
 enum class EventKind : std::uint8_t {
   kStart,
   kFailure,

@@ -299,59 +299,5 @@ TEST(TranscriptLog, RecordsAndRenders) {
             "[t=10] recovered item 2\n");
 }
 
-// ------------------------------------------------------------ repeat seeds
-
-TEST(Harness, RepeatSeedReproducesMatrixCell) {
-  // Three run_trial calls seeded by repeat_seed, voted by majority, must
-  // give the matrix's own verdict for that cell: this is what lets
-  // `faultstudy_cli simulate --repeats` replay one cell of the study.
-  const struct {
-    const char* fault_id;
-    const char* mechanism;
-  } cells[] = {{"apache-ei-05", "process-pairs"},
-               {"apache-edt-02", "process-pairs"},
-               {"mysql-edn-01", "rollback-retry"},
-               {"gnome-edt-01", "rollback-retry"}};
-  const auto seeds = corpus::all_seeds();
-  constexpr int kRepeats = 3;
-  for (const auto& cell : cells) {
-    const corpus::SeedFault* seed = nullptr;
-    for (const auto& s : seeds) {
-      if (s.fault_id == cell.fault_id) seed = &s;
-    }
-    ASSERT_NE(seed, nullptr) << cell.fault_id;
-    NamedMechanism mechanism;
-    for (const auto& nm : standard_mechanisms()) {
-      if (nm.name == cell.mechanism) mechanism = nm;
-    }
-    ASSERT_TRUE(mechanism.make) << cell.mechanism;
-
-    TrialConfig config;
-    config.threads = 1;
-    int observed = 0;
-    int survived = 0;
-    for (int r = 0; r < kRepeats; ++r) {
-      TrialConfig tc = config;
-      tc.seed = repeat_seed(config.seed, seed->fault_id,
-                            static_cast<std::size_t>(r));
-      auto instance = mechanism.make();
-      const auto outcome =
-          run_trial(inject::plan_for(*seed, tc.seed), *instance, tc);
-      if (!outcome.failure_observed) continue;
-      ++observed;
-      if (outcome.survived) ++survived;
-    }
-
-    const auto matrix = run_matrix({*seed}, {mechanism}, config, kRepeats);
-    ASSERT_EQ(matrix.reports.size(), 1u);
-    const auto& report = matrix.reports[0];
-    const auto cls = static_cast<std::size_t>(corpus::seed_class(*seed));
-    EXPECT_EQ(report.total[cls], observed > 0 ? 1u : 0u) << cell.fault_id;
-    EXPECT_EQ(report.survived[cls], survived * 2 > observed ? 1u : 0u)
-        << cell.fault_id << " under " << cell.mechanism;
-    EXPECT_EQ(report.total_all(), report.total[cls]);
-  }
-}
-
 }  // namespace
 }  // namespace faultstudy::harness
