@@ -45,7 +45,9 @@
 //                        recorded for the specimen beside the trial's own
 //                        probe count.
 //
-// Unknown `--` options are rejected with a usage error.
+// Unknown `--` options are rejected with a usage error, and so are
+// `--seed`, `--coverage` and `--baseline` on any command but matrix and
+// simulate.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +57,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/serialize.hpp"
@@ -549,6 +552,19 @@ int main(int argc, char** argv) {
   }
   if (args.empty()) return usage();
   const std::string& cmd = args[0];
+  if (cmd != "matrix" && cmd != "simulate") {
+    // Only matrix and simulate read these; any other command would ignore
+    // them without a word.
+    const std::pair<bool, const char*> trial_options[] = {
+        {g_seed >= 0, "--seed"},
+        {!g_coverage_path.empty(), "--coverage"},
+        {!g_baseline_path.empty(), "--baseline"}};
+    for (const auto& [given, name] : trial_options) {
+      if (!given) continue;
+      std::fprintf(stderr, "%s applies only to matrix and simulate\n", name);
+      return usage();
+    }
+  }
   if (cmd == "classify") return cmd_classify();
   if (cmd == "taxonomy") return cmd_taxonomy();
   if (cmd == "corpus" && args.size() == 3) return cmd_corpus(args[1], args[2]);

@@ -1,6 +1,7 @@
 #include "apps/sql/engine.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace faultstudy::apps::sql {
 
@@ -28,7 +29,7 @@ std::vector<int> resolve(const Schema& schema,
 }
 
 /// `columns[i]` is where[i]'s column index in `row`, -1 when unknown.
-bool matches(const Row& row, const std::vector<Predicate>& where,
+bool matches(std::span<const Value> row, const std::vector<Predicate>& where,
              const std::vector<int>& columns, std::string* err) {
   for (std::size_t i = 0; i < where.size(); ++i) {
     if (columns[i] < 0) {
@@ -161,11 +162,16 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     }
     const int col = table->schema().find(s.order_by->column);
     if (col < 0) return error("unknown column " + s.order_by->column);
-    std::stable_sort(hits.begin(), hits.end(), [&](Slot a, Slot b) {
+    const auto before = [&](Slot a, Slot b) {
       const int cmp = compare(table->row(a)[static_cast<std::size_t>(col)],
                               table->row(b)[static_cast<std::size_t>(col)]);
       return s.order_by->descending ? cmp > 0 : cmp < 0;
-    });
+    };
+    // On hits already in order a stable sort changes nothing, ties
+    // included, so it is skipped.
+    if (!std::is_sorted(hits.begin(), hits.end(), before)) {
+      std::stable_sort(hits.begin(), hits.end(), before);
+    }
   }
 
   // Projection columns resolve once; an unknown one is an error only if
@@ -176,14 +182,15 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     projection.push_back(table->schema().find(name));
     if (projection.back() < 0 && unknown == nullptr) unknown = &name;
   }
-  ExecResult r;
   const std::size_t limit =
       s.limit.has_value() ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
                           : hits.size();
+  ExecResult r;
+  r.rows.reserve(std::min(limit, hits.size()));
   for (std::size_t i = 0; i < hits.size() && i < limit; ++i) {
-    const Row& row = table->row(hits[i]);
+    const std::span<const Value> row = table->row(hits[i]);
     if (s.columns.empty()) {
-      r.rows.push_back(row);
+      r.rows.emplace_back(row.begin(), row.end());
     } else {
       if (unknown != nullptr) return error("unknown column " + *unknown);
       Row projected;

@@ -20,6 +20,9 @@
 // pointers, so a copy (a Database snapshot, a restore, a fresh start from
 // the shared catalog) costs one map of pointers, and a table is cloned only
 // when one side is about to write to it while the other still refers to it.
+// A table's storage is chunked (table.hpp), so a clone copies pointers to
+// its chunks, whatever the table's size, and a write copies only the chunk
+// it touches; the rules below hold for chunks as they do for tables.
 // Reads go through find_table() const; every write goes through
 // mutable_table(), which is where the clone happens.
 //

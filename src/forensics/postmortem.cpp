@@ -151,13 +151,36 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   pm.events_dropped = ring.dropped();
   pm.chain.reserve(8);  // one link per stage, plus a few propagation links
 
-  // -- injection --------------------------------------------------------
+  // One pass gathers what the stages below need from the ring: the last
+  // arming, the first item failure and the recovery tally.
   env::Tick armed_at = 0;
+  const FlightEvent* first_error = nullptr;
+  std::size_t recoveries_ok = 0;
+  std::uint64_t items_rewound = 0;
+  env::Tick last_recovery_at = pm.ended_at;
   for (const FlightEvent& e : pm.events) {
-    if (e.code == FlightCode::kFaultArmed || e.code == FlightCode::kEnvArmed) {
-      armed_at = e.at;
+    switch (e.code) {
+      case FlightCode::kFaultArmed:
+      case FlightCode::kEnvArmed:
+        armed_at = e.at;
+        break;
+      case FlightCode::kItemFailed:
+        if (first_error == nullptr) first_error = &e;
+        break;
+      case FlightCode::kRecoveryOk:
+        ++recoveries_ok;
+        items_rewound += e.b;
+        last_recovery_at = e.at;
+        break;
+      case FlightCode::kRecoveryFailed:
+        last_recovery_at = e.at;
+        break;
+      default:
+        break;
     }
   }
+
+  // -- injection --------------------------------------------------------
   pm.chain.push_back(
       {ChainStage::kInjection, armed_at,
        concat({"fault ", pm.fault_id, " (", core::to_string(pm.trigger), ", ",
@@ -165,13 +188,8 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
                core::to_string(pm.app)})});
 
   // -- propagation: resource transitions before the first item failure --
-  const FlightEvent* first_error = nullptr;
-  for (const FlightEvent& e : pm.events) {
-    if (e.code == FlightCode::kItemFailed) {
-      first_error = &e;
-      break;
-    }
-  }
+  static_assert(static_cast<std::size_t>(FlightCode::kCount) <= 64);
+  std::uint64_t linked = 0;  ///< bit per code that already has a link
   std::size_t transitions = 0;
   for (const FlightEvent& e : pm.events) {
     if (first_error != nullptr && &e >= first_error) break;
@@ -180,15 +198,10 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
     if (pm.propagation == FlightCode::kCount) pm.propagation = e.code;
     // One link per *distinct* code keeps chains readable when a transition
     // repeats (e.g. a descriptor pool denying every item of a cycle).
-    bool seen = false;
-    for (const CausalLink& link : pm.chain) {
-      if (link.stage == ChainStage::kPropagation &&
-          link.description.starts_with(to_string(e.code))) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
+    const std::uint64_t bit = std::uint64_t{1}
+                              << static_cast<std::size_t>(e.code);
+    if ((linked & bit) != 0) continue;
+    linked |= bit;
     pm.chain.push_back({ChainStage::kPropagation, e.at,
                         concat({to_string(e.code), " (a=", std::to_string(e.a),
                                 ", b=", std::to_string(e.b), ")"})});
@@ -238,18 +251,6 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
   }
 
   // -- recovery ----------------------------------------------------------
-  std::size_t recoveries_ok = 0;
-  std::uint64_t items_rewound = 0;
-  env::Tick last_recovery_at = pm.ended_at;
-  for (const FlightEvent& e : pm.events) {
-    if (e.code == FlightCode::kRecoveryOk) {
-      ++recoveries_ok;
-      items_rewound += e.b;
-      last_recovery_at = e.at;
-    } else if (e.code == FlightCode::kRecoveryFailed) {
-      last_recovery_at = e.at;
-    }
-  }
   pm.chain.push_back(
       {ChainStage::kRecovery, last_recovery_at,
        concat({pm.mechanism, " recovered ", std::to_string(recoveries_ok), "/",

@@ -137,13 +137,16 @@ class FlightRecorder {
 
   /// Snapshot in chronological order, oldest surviving event first.
   std::vector<FlightEvent> chronological() const {
-    std::vector<FlightEvent> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    const std::uint64_t first = total_ - n;
-    for (std::uint64_t i = first; i < total_; ++i) {
-      out.push_back(ring_[i % ring_.size()]);
+    // Until the ring wraps, the events sit in slot order from slot 0;
+    // after, the oldest is the one the next event overwrites.
+    if (total_ < ring_.size()) {
+      return {ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_)};
     }
+    std::vector<FlightEvent> out;
+    out.reserve(ring_.size());
+    const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+    out.insert(out.end(), oldest, ring_.end());
+    out.insert(out.end(), ring_.begin(), oldest);
     return out;
   }
 

@@ -14,17 +14,35 @@ const std::vector<std::string>& study_keywords() {
   return kKeywords;
 }
 
-bool matches_keywords(const corpus::MailMessage& message,
-                      const std::vector<std::string>& keywords) {
-  std::unordered_set<std::string> stems;
-  for (const auto& kw : keywords) stems.insert(text::stem(kw));
-  const auto scan = [&](const std::string& s) {
+namespace {
+/// The keyword test with the keyword set stemmed once, up front, so a
+/// caller that tests many messages stems each keyword once, not once per
+/// message.
+class KeywordMatcher {
+ public:
+  explicit KeywordMatcher(const std::vector<std::string>& keywords) {
+    for (const auto& kw : keywords) stems_.insert(text::stem(kw));
+  }
+
+  bool operator()(const corpus::MailMessage& message) const {
+    return scan(message.subject) || scan(message.body);
+  }
+
+ private:
+  bool scan(const std::string& s) const {
     for (const auto& tok : text::tokenize(s)) {
-      if (stems.contains(text::stem(tok))) return true;
+      if (stems_.contains(text::stem(tok))) return true;
     }
     return false;
-  };
-  return scan(message.subject) || scan(message.body);
+  }
+
+  std::unordered_set<std::string> stems_;
+};
+}  // namespace
+
+bool matches_keywords(const corpus::MailMessage& message,
+                      const std::vector<std::string>& keywords) {
+  return KeywordMatcher(keywords)(message);
 }
 
 bool is_bug_report_shaped(const corpus::MailMessage& message) {
@@ -38,9 +56,10 @@ std::vector<MinedThread> mine_threads(const corpus::MailingList& list,
   KeywordFunnel f;
   f.total_messages = list.size();
 
+  const KeywordMatcher matches(keywords);
   std::unordered_set<std::uint64_t> root_threads;
   for (const corpus::MailMessage& m : list.messages()) {
-    if (!matches_keywords(m, keywords)) continue;
+    if (!matches(m)) continue;
     ++f.keyword_hits;
     if (!is_bug_report_shaped(m)) continue;
     ++f.report_shaped;

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
@@ -278,6 +281,12 @@ TEST(SqlEngine, OutOfRangeLiteralIsAnErrorNotAThrow) {
 
 // ------------------------------------------ copy-on-write isolation
 
+/// A copy of the slot's cells.
+Row row_of(const Table& t, Slot slot) {
+  const auto cells = t.row(slot);
+  return Row(cells.begin(), cells.end());
+}
+
 /// Everything a write can change about table `t`.
 struct TableState {
   std::vector<Row> rows;  ///< live rows in heap order
@@ -291,7 +300,7 @@ struct TableState {
 TableState state_of(const Engine& e) {
   const Table* t = e.find_table("t");
   TableState state;
-  for (Slot slot : t->scan_heap()) state.rows.push_back(t->row(slot));
+  for (Slot slot : t->scan_heap()) state.rows.push_back(row_of(*t, slot));
   state.index_entries = t->index_entries();
   state.dead_slots = t->has_dead_slots();
   state.index_ok = t->check_index();
@@ -479,7 +488,7 @@ Engine random_engine(util::Rng& rng) {
 
 std::vector<Row> rows_of(const Table& t, const std::vector<Slot>& slots) {
   std::vector<Row> rows;
-  for (Slot slot : slots) rows.push_back(t.row(slot));
+  for (Slot slot : slots) rows.push_back(row_of(t, slot));
   return rows;
 }
 
@@ -498,7 +507,7 @@ void expect_access_paths_agree(const Engine& e, CompareOp op, const Value& key,
     if (evaluate(op, t.row(slot)[0], key)) {
       expected.push_back(slot);
     } else {
-      rest.push_back(t.row(slot));
+      rest.push_back(row_of(t, slot));
     }
   }
 
@@ -542,7 +551,7 @@ void expect_access_paths_agree(const Engine& e, CompareOp op, const Value& key,
   EXPECT_EQ(r.affected, static_cast<std::int64_t>(expected.size()));
   std::vector<Row> after;
   for (Slot slot : t.scan_heap()) {
-    Row row = t.row(slot);
+    Row row = row_of(t, slot);
     if (evaluate(op, row[0], key)) row[2] = Value{std::string("w")};
     after.push_back(std::move(row));
   }
@@ -592,6 +601,211 @@ TEST(SqlAccessPath, IndexRangeStaysExactOnACorruptedIndex) {
     }
   }
   EXPECT_GT(corrupted, 10);  // the corrupted case is actually exercised
+}
+
+/// The table as it was stored before it went flat: one vector per row and
+/// a multimap index (which inserts after equal keys), with the same
+/// operations written against them. The chunked Table must be
+/// indistinguishable from it.
+class ReferenceTable {
+ public:
+  Slot insert(const Row& row) {
+    const auto slot = static_cast<Slot>(rows_.size());
+    index_.emplace(row[0], slot);
+    rows_.push_back(row);
+    dead_.push_back(false);
+    ++live_;
+    return slot;
+  }
+
+  void erase(Slot slot) {
+    if (!is_live(slot)) return;
+    dead_[slot] = true;
+    --live_;
+    erase_entry(rows_[slot][0], slot);
+  }
+
+  void update_cell(Slot slot, int column, const Value& value, bool corrupt) {
+    if (!is_live(slot)) return;
+    Value& cell = rows_[slot][static_cast<std::size_t>(column)];
+    if (column == 0 && compare(cell, value) != 0) {
+      if (!corrupt) erase_entry(cell, slot);
+      index_.emplace(value, slot);
+    }
+    cell = value;
+  }
+
+  void compact() {
+    std::vector<Row> live;
+    for (Slot s = 0; s < rows_.size(); ++s) {
+      if (!dead_[s]) live.push_back(rows_[s]);
+    }
+    rows_.clear();
+    dead_.clear();
+    index_.clear();
+    live_ = 0;
+    for (const Row& row : live) insert(row);
+  }
+
+  bool is_live(Slot slot) const { return slot < rows_.size() && !dead_[slot]; }
+  std::size_t slots() const { return rows_.size(); }
+  std::size_t live() const { return live_; }
+  const Row& row(Slot slot) const { return rows_[slot]; }
+
+  std::vector<std::pair<Value, Slot>> entries() const {
+    return {index_.begin(), index_.end()};
+  }
+
+  std::vector<Slot> index_range(CompareOp op, const Value& key) const {
+    auto lo = index_.begin();
+    auto hi = index_.end();
+    switch (op) {
+      case CompareOp::kEq: std::tie(lo, hi) = index_.equal_range(key); break;
+      case CompareOp::kLt: hi = index_.lower_bound(key); break;
+      case CompareOp::kLe: hi = index_.upper_bound(key); break;
+      case CompareOp::kGt: lo = index_.upper_bound(key); break;
+      case CompareOp::kGe: lo = index_.lower_bound(key); break;
+      case CompareOp::kNe: break;
+    }
+    std::vector<Slot> out;
+    for (auto it = lo; it != hi; ++it) {
+      if (is_live(it->second)) out.push_back(it->second);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  bool check_index() const {
+    if (index_.size() != live_) return false;
+    for (const auto& [key, slot] : index_) {
+      if (!is_live(slot) || compare(rows_[slot][0], key) != 0) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Less {
+    bool operator()(const Value& a, const Value& b) const {
+      return compare(a, b) < 0;
+    }
+  };
+
+  void erase_entry(const Value& key, Slot slot) {
+    const auto [lo, hi] = index_.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == slot) {
+        index_.erase(it);
+        return;
+      }
+    }
+  }
+
+  std::vector<Row> rows_;
+  std::vector<bool> dead_;
+  std::size_t live_ = 0;
+  std::multimap<Value, Slot, Less> index_;
+};
+
+/// Everything observable about `t`, compared against the reference.
+void expect_same_table(const Table& t, const ReferenceTable& ref,
+                       util::Rng& rng) {
+  ASSERT_EQ(t.row_count(), ref.live());
+  EXPECT_EQ(t.has_dead_slots(), ref.live() != ref.slots());
+  std::vector<Slot> live;
+  for (Slot s = 0; s < ref.slots(); ++s) {
+    EXPECT_EQ(t.is_live(s), ref.is_live(s)) << "slot " << s;
+    if (!ref.is_live(s)) continue;
+    live.push_back(s);
+    EXPECT_EQ(row_of(t, s), ref.row(s)) << "slot " << s;
+  }
+  EXPECT_FALSE(t.is_live(static_cast<Slot>(ref.slots())));
+  EXPECT_EQ(t.scan_heap(), live);
+
+  std::vector<std::pair<Value, Slot>> scanned;
+  for (auto cursor = t.index_scan(); !cursor.done(); cursor.next()) {
+    scanned.emplace_back(cursor.key(), cursor.slot());
+  }
+  EXPECT_EQ(scanned, ref.entries());
+  EXPECT_EQ(t.index_entries(), scanned.size());
+  EXPECT_EQ(t.check_index(), ref.check_index());
+
+  for (const CompareOp op : kAllOps) {
+    if (op == CompareOp::kNe) continue;
+    for (int i = 0; i < 2; ++i) {
+      const Value key = random_key(rng);
+      EXPECT_EQ(t.index_range(op, key), ref.index_range(op, key))
+          << "WHERE id " << sql_text(op) << " " << sql_text(key);
+    }
+  }
+}
+
+TEST(SqlAccessPath, FlatTableMatchesReferenceModel) {
+  // Histories long enough to span several heap chunks and index leaves,
+  // with copies taken along the way: a copy shares every chunk and leaf,
+  // so each later write to the table must leave every copy as it was.
+  int corrupted = 0;
+  int compacted = 0;
+  std::size_t most_entries = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    Table t(Schema{{{"id", ColumnType::kInteger},
+                    {"tag", ColumnType::kInteger},
+                    {"v", ColumnType::kText}}});
+    ReferenceTable ref;
+    std::vector<std::pair<Table, ReferenceTable>> copies;
+    std::int64_t tags = 0;
+    const auto some_slot = [&] {
+      // Dead and out-of-range slots too: both must be no-ops.
+      return static_cast<Slot>(rng.below(ref.slots() + 2));
+    };
+    for (int step = 0; step < 400; ++step) {
+      // One draw per statement, so the history does not depend on the
+      // order a compiler evaluates operands in.
+      const auto kind = rng.below(40);
+      const Value key = random_key(rng);
+      if (kind < 20) {
+        const Row row = {key, Value{tags++},
+                         Value{std::string(1, static_cast<char>(
+                                                  'x' + rng.below(3)))}};
+        EXPECT_EQ(t.insert(row), ref.insert(row));
+      } else if (kind < 25) {
+        const Slot slot = some_slot();
+        t.erase(slot);
+        ref.erase(slot);
+      } else if (kind < 34) {
+        const Slot slot = some_slot();
+        const bool corrupt = kind == 33;
+        t.update_cell(slot, 0, key, corrupt);
+        ref.update_cell(slot, 0, key, corrupt);
+      } else if (kind < 37) {
+        const Slot slot = some_slot();
+        const Value text{std::string(1, static_cast<char>('a' + rng.below(3)))};
+        t.update_cell(slot, 2, text);
+        ref.update_cell(slot, 2, text, false);
+      } else if (kind < 39) {
+        if (copies.size() < 6) copies.emplace_back(t, ref);
+      } else {
+        t.compact();
+        ref.compact();
+        ++compacted;
+      }
+      if (!ref.check_index()) ++corrupted;
+      most_entries = std::max(most_entries, t.index_entries());
+      expect_same_table(t, ref, rng);
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
+    }
+    for (const auto& [copy, copy_ref] : copies) {
+      expect_same_table(copy, copy_ref, rng);
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
+    }
+  }
+  // Both kinds of history are actually exercised, on indexes that split
+  // into several leaves.
+  EXPECT_GT(corrupted, 500);
+  EXPECT_GT(compacted, 100);
+  EXPECT_GT(most_entries, 2 * Table::kLeafEntries);
 }
 
 TEST(SqlAccessPath, UnknownColumnOnEmptyTableIsNoError) {
@@ -704,6 +918,39 @@ TEST(SqlBugs, UpdateWhileScanningCorruptsIndexAndCrashes) {
             std::string::npos);
   // The crash is mid-statement: the table is left corrupted.
   EXPECT_FALSE(e.find_table("t")->check_index());
+}
+
+TEST(SqlBugs, IndexInvariantBreaksAfterExactlyOneKeyMove) {
+  // The buggy UPDATE walks the index while writing to it. The index check
+  // after every updated row stops the walk at the first key move, so the
+  // cursor never steps over an index that changed under it.
+  SqlFaultFlags flags;
+  flags.update_index_scan_bug = true;
+  Engine e(flags);
+  e.execute("CREATE TABLE t (id INT, state TEXT)");
+  for (const char* sql : {"INSERT INTO t VALUES (1, 'a')",
+                          "INSERT INTO t VALUES (2, 'b')",
+                          "INSERT INTO t VALUES (5, 'c')",
+                          "INSERT INTO t VALUES (5, 'd')"}) {
+    ASSERT_EQ(e.execute(sql).status, ExecStatus::kOk) << sql;
+  }
+  ASSERT_EQ(e.execute("UPDATE t SET id = 5 WHERE id < 3").status,
+            ExecStatus::kCrash);
+  const Table& t = *e.find_table("t");
+  EXPECT_EQ(t.index_entries(), t.row_count() + 1);
+  std::vector<std::int64_t> ids;
+  for (Slot slot : t.scan_heap()) {
+    ids.push_back(std::get<std::int64_t>(t.row(slot)[0]));
+  }
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{5, 2, 5, 5}));  // one row moved
+  // The moved row's new entry went in after the equal keys; its stale
+  // entry is still first.
+  std::vector<std::pair<std::int64_t, Slot>> scanned;
+  for (auto cursor = t.index_scan(); !cursor.done(); cursor.next()) {
+    scanned.emplace_back(std::get<std::int64_t>(cursor.key()), cursor.slot());
+  }
+  EXPECT_EQ(scanned, (std::vector<std::pair<std::int64_t, Slot>>{
+                         {1, 0}, {2, 1}, {5, 2}, {5, 3}, {5, 0}}));
 }
 
 TEST(SqlBugs, BuggyUpdateHarmlessWhenKeyMovesBackward) {
