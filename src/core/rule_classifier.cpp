@@ -9,12 +9,6 @@ namespace faultstudy::core {
 
 namespace {
 
-struct Cue {
-  const char* phrase;  // matched case-insensitively as a substring
-  Trigger trigger;
-  double weight;       // specificity: multiword diagnostic phrases score higher
-};
-
 // The cue lexicon. Phrases are drawn from the vocabulary of the paper's own
 // bug descriptions (Sections 5.1-5.3) plus common report phrasing for the
 // same mechanisms. Order does not matter; all matches vote.
@@ -192,19 +186,21 @@ ReportText parse_report_text(std::string_view input) {
   return report;
 }
 
-std::size_t RuleClassifier::lexicon_size() {
-  return std::size(kCues);
-}
+std::span<const Cue> RuleClassifier::lexicon() { return kCues; }
 
 Classification RuleClassifier::classify(const ReportText& report) const {
   std::array<double, kNumTriggers> scores{};
   Classification result;
 
+  // Every cue is lowercase, so a case-insensitive match is a plain find in
+  // the lowercased field: each field is lowercased once, not once per cue.
+  std::string lowered;
   for (std::size_t f = 0; f < std::size(kFields); ++f) {
     const std::string& text = field_text(report, f);
     if (text.empty()) continue;
+    lowered = util::to_lower(text);
     for (const Cue& cue : kCues) {
-      if (util::icontains(text, cue.phrase)) {
+      if (lowered.find(cue.phrase) != std::string::npos) {
         const double w = cue.weight * kFields[f].weight;
         scores[static_cast<std::size_t>(cue.trigger)] += w;
         result.evidence.push_back(

@@ -9,6 +9,7 @@
 // deterministic.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,13 @@ struct ReportText {
   std::string body;
   std::string how_to_repeat;
   std::string developer_comments;
+};
+
+/// One lexicon entry: a phrase that votes for a trigger.
+struct Cue {
+  const char* phrase;  ///< lowercase; matched case-insensitively
+  Trigger trigger;
+  double weight;  ///< specificity: multiword diagnostic phrases score higher
 };
 
 /// One matched cue, kept as evidence for auditability.
@@ -57,8 +65,8 @@ class RuleClassifier {
 
   Classification classify(const ReportText& report) const;
 
-  /// The cue lexicon size (for tests / docs).
-  static std::size_t lexicon_size();
+  /// The cue lexicon, in the order classify tries it (for tests / docs).
+  static std::span<const Cue> lexicon();
 
  private:
   RulePolicy policy_;

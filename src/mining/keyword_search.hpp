@@ -38,9 +38,13 @@ struct MinedThread {
   std::vector<corpus::MailMessage> replies;
 };
 
-/// Runs keyword match + report-shape narrowing, grouping by thread.
+/// Runs keyword match + report-shape narrowing, grouping by thread. The
+/// per-message tests run in fixed chunks on `threads` lanes (resolved as by
+/// util::parallel_for_index); counting and grouping are serial in message
+/// order, so the result is the same for every lane count.
 std::vector<MinedThread> mine_threads(const corpus::MailingList& list,
                                       const std::vector<std::string>& keywords,
-                                      KeywordFunnel* funnel = nullptr);
+                                      KeywordFunnel* funnel = nullptr,
+                                      std::size_t threads = 1);
 
 }  // namespace faultstudy::mining

@@ -1,16 +1,15 @@
 #include "text/stemmer.hpp"
 
-#include <cctype>
+#include <algorithm>
+
+#include "text/ascii.hpp"
 
 namespace faultstudy::text {
 
 namespace {
 
 bool plain_alpha(std::string_view t) {
-  for (char c : t) {
-    if (!std::isalpha(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
+  return std::all_of(t.begin(), t.end(), ascii::is_alpha);
 }
 
 bool is_vowel(char c) {
@@ -24,16 +23,20 @@ bool has_vowel(std::string_view t) {
   return false;
 }
 
+/// Compares from the last character back: most tokens differ from a
+/// suffix in their last byte.
 bool ends(std::string_view t, std::string_view suffix) {
-  return t.size() >= suffix.size() &&
-         t.substr(t.size() - suffix.size()) == suffix;
+  if (t.size() < suffix.size()) return false;
+  for (std::size_t i = 1; i <= suffix.size(); ++i) {
+    if (t[t.size() - i] != suffix[suffix.size() - i]) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
-std::string stem(std::string_view token) {
-  if (token.size() < 4 || !plain_alpha(token)) return std::string(token);
-  std::string t(token);
+void stem_in_place(std::string& t) {
+  if (t.size() < 4 || !plain_alpha(t)) return;
 
   // Step 1a: plurals. sses->ss, ies->i, s-> (but not ss).
   if (ends(t, "sses")) {
@@ -88,11 +91,16 @@ std::string stem(std::string_view token) {
   if (t.size() >= 5 && t.back() == 'e' && !is_vowel(t[t.size() - 2])) {
     t.resize(t.size() - 1);
   }
+}
+
+std::string stem(std::string_view token) {
+  std::string t(token);
+  stem_in_place(t);
   return t;
 }
 
 std::vector<std::string> stem_all(std::vector<std::string> tokens) {
-  for (auto& t : tokens) t = stem(t);
+  for (auto& t : tokens) stem_in_place(t);
   return tokens;
 }
 

@@ -15,6 +15,10 @@ namespace faultstudy::text {
 /// Returns the stem of a single lowercase token.
 std::string stem(std::string_view token);
 
+/// Replaces `token` with its stem; stem(t) is a copy of t passed through
+/// this. Allocates only when a rule appends past the string's capacity.
+void stem_in_place(std::string& token);
+
 /// Stems every token in place.
 std::vector<std::string> stem_all(std::vector<std::string> tokens);
 

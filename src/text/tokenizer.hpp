@@ -5,9 +5,12 @@
 // intact because they carry most of the classification signal.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "text/ascii.hpp"
 
 namespace faultstudy::text {
 
@@ -18,9 +21,53 @@ struct TokenizerOptions {
   std::size_t min_length = 2;
 };
 
-/// Splits text into word tokens. A token is a maximal run of [A-Za-z0-9_]
-/// optionally containing internal '.' or '-' when flanked by alphanumerics
-/// (so "2.0.36", "va_list" and "tar.gz" each survive as one token).
+/// Calls f(std::string& token) for each token of `input` in order, the token
+/// normalized into the caller's reused `scratch` (f may modify it). f returns
+/// false to stop early. A token is a maximal run of [A-Za-z0-9_] optionally
+/// containing internal '.' or '-' when flanked by alphanumerics (so
+/// "2.0.36", "va_list" and "tar.gz" each survive as one token). Bytes >= 0x80
+/// separate tokens.
+template <class F>
+void for_each_token(std::string_view input, const TokenizerOptions& options,
+                    std::string& scratch, F&& f) {
+  const auto is_word_char = [](char c) {
+    return ascii::is_alnum(c) || c == '_';
+  };
+  const std::size_t n = input.size();
+  std::size_t i = 0;
+  while (i < n) {
+    if (!is_word_char(input[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < n) {
+      if (is_word_char(input[i])) {
+        ++i;
+      } else if ((input[i] == '.' || input[i] == '-') && i + 1 < n &&
+                 is_word_char(input[i + 1])) {
+        i += 2;  // joiner plus the character that legitimized it
+      } else {
+        break;
+      }
+    }
+    // Normalization keeps a token's length and its letters, so both tests
+    // run on the raw bytes, before the copy.
+    const std::string_view raw = input.substr(start, i - start);
+    if (raw.size() < options.min_length) continue;
+    if (!options.keep_numbers &&
+        std::none_of(raw.begin(), raw.end(), ascii::is_alpha)) {
+      continue;
+    }
+    scratch.assign(raw);
+    if (options.lowercase) {
+      for (char& c : scratch) c = ascii::to_lower(c);
+    }
+    if (!f(scratch)) return;
+  }
+}
+
+/// Every token of `input` (see for_each_token), as owned strings.
 std::vector<std::string> tokenize(std::string_view input,
                                   const TokenizerOptions& options = {});
 

@@ -3,11 +3,17 @@
 // ground-truth class from its report text alone.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
 #include <cmath>
 
 #include "core/bayes.hpp"
 #include "core/rule_classifier.hpp"
 #include "corpus/seeds.hpp"
+#include "corpus/synth.hpp"
+#include "mining/filters.hpp"
+#include "mining/keyword_search.hpp"
+#include "util/strings.hpp"
 
 namespace faultstudy::core {
 namespace {
@@ -103,7 +109,7 @@ TEST(RuleClassifier, CaseInsensitive) {
 }
 
 TEST(RuleClassifier, LexiconIsSubstantial) {
-  EXPECT_GE(RuleClassifier::lexicon_size(), 100u);
+  EXPECT_GE(RuleClassifier::lexicon().size(), 100u);
 }
 
 TEST(RuleClassifier, PolicyOverrideChangesClassNotTrigger) {
@@ -115,6 +121,113 @@ TEST(RuleClassifier, PolicyOverrideChangesClassNotTrigger) {
       c.classify(text_of("disk full", "file system is full"));
   EXPECT_EQ(result.trigger, Trigger::kFullFileSystem);
   EXPECT_EQ(result.fault_class, FaultClass::kEnvDependentTransient);
+}
+
+TEST(RuleClassifier, CuesAreLowercase) {
+  // classify lowercases each field and finds cues verbatim, which equals a
+  // case-insensitive match only for lowercase cues.
+  for (const Cue& cue : RuleClassifier::lexicon()) {
+    const std::string phrase = cue.phrase;
+    EXPECT_EQ(util::to_lower(phrase), phrase);
+  }
+}
+
+// ------------------- differential: classify vs a per-cue icontains scorer
+
+/// The classifier as it scored before it lowercased each field once: every
+/// cue tested with util::icontains against the raw field.
+Classification reference_classify(const ReportText& r) {
+  struct Field {
+    const char* name;
+    double weight;
+    const std::string& text;
+  };
+  const Field fields[] = {{"title", 1.5, r.title},
+                          {"body", 1.0, r.body},
+                          {"how_to_repeat", 2.0, r.how_to_repeat},
+                          {"developer_comments", 1.75, r.developer_comments}};
+  std::array<double, kNumTriggers> scores{};
+  Classification out;
+  for (const Field& f : fields) {
+    if (f.text.empty()) continue;
+    for (const Cue& cue : RuleClassifier::lexicon()) {
+      if (!util::icontains(f.text, cue.phrase)) continue;
+      const double w = cue.weight * f.weight;
+      scores[static_cast<std::size_t>(cue.trigger)] += w;
+      out.evidence.push_back({cue.trigger, cue.phrase, f.name, w});
+    }
+  }
+  double total = 0.0;
+  double best = 0.0;
+  std::size_t best_idx = static_cast<std::size_t>(Trigger::kLogicError);
+  for (std::size_t i = 0; i < kNumTriggers; ++i) {
+    total += scores[i];
+    if (scores[i] > best) {
+      best = scores[i];
+      best_idx = i;
+    }
+  }
+  out.trigger = total == 0.0 ? Trigger::kLogicError
+                             : static_cast<Trigger>(best_idx);
+  out.fault_class = RulePolicy().classify(out.trigger);
+  out.confidence = total == 0.0 ? 0.0 : best / total;
+  return out;
+}
+
+/// Asserts classify(r) equals the reference exactly: trigger, class,
+/// confidence, and the evidence list in order.
+void expect_matches_reference(const ReportText& r, const std::string& what) {
+  const Classification got = RuleClassifier().classify(r);
+  const Classification want = reference_classify(r);
+  EXPECT_EQ(got.trigger, want.trigger) << what;
+  EXPECT_EQ(got.fault_class, want.fault_class) << what;
+  EXPECT_EQ(got.confidence, want.confidence) << what;
+  ASSERT_EQ(got.evidence.size(), want.evidence.size()) << what;
+  for (std::size_t i = 0; i < got.evidence.size(); ++i) {
+    EXPECT_EQ(got.evidence[i].trigger, want.evidence[i].trigger) << what;
+    EXPECT_EQ(got.evidence[i].phrase, want.evidence[i].phrase) << what;
+    EXPECT_EQ(got.evidence[i].field, want.evidence[i].field) << what;
+    EXPECT_EQ(got.evidence[i].weight, want.evidence[i].weight) << what;
+  }
+}
+
+TEST(RuleClassifier, MatchesIcontainsReferenceOnSeedReports) {
+  for (const corpus::SeedFault& seed : corpus::all_seeds()) {
+    ReportText text;
+    text.title = seed.title;
+    text.how_to_repeat = seed.how_to_repeat;
+    text.developer_comments = seed.developer_comment;
+    expect_matches_reference(text, seed.fault_id);
+    // The same report shouted: every cue must still fire.
+    text.title = util::to_lower(text.title);
+    for (char& c : text.how_to_repeat) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    expect_matches_reference(text, seed.fault_id + " (upper case)");
+  }
+}
+
+TEST(RuleClassifier, MatchesIcontainsReferenceOnMinedCorpora) {
+  // The reports the tracker pipelines classify (those passing the study
+  // filters), and the threads the mailing-list pipeline mines.
+  for (const auto& tracker :
+       {corpus::make_apache_tracker(), corpus::make_gnome_tracker()}) {
+    for (const corpus::BugReport& report : mining::study_candidates(tracker)) {
+      expect_matches_reference(report.text,
+                               "report " + std::to_string(report.id));
+    }
+  }
+  const corpus::MailingList list = corpus::make_mysql_list();
+  for (const mining::MinedThread& t :
+       mining::mine_threads(list, mining::study_keywords())) {
+    ReportText text;
+    text.title = t.root.subject;
+    text.body = t.root.body;
+    for (const auto& reply : t.replies) {
+      text.developer_comments += reply.body + '\n';
+    }
+    expect_matches_reference(text, "thread " + std::to_string(t.root.id));
+  }
 }
 
 // ------------------------- parameterized sweep over all 139 seed faults

@@ -116,6 +116,59 @@ TEST(KeywordSearch, ChatterWithKeywordButNoShapeExcluded) {
   EXPECT_EQ(funnel.report_shaped, 0u);
 }
 
+/// Threads from mine_threads equal message for message.
+void expect_same_threads(const std::vector<MinedThread>& a,
+                         const std::vector<MinedThread>& b) {
+  const auto same = [](const MailMessage& x, const MailMessage& y) {
+    return x.id == y.id && x.thread_id == y.thread_id &&
+           x.subject == y.subject && x.body == y.body;
+  };
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same(a[i].root, b[i].root)) << "thread " << i;
+    ASSERT_EQ(a[i].replies.size(), b[i].replies.size()) << "thread " << i;
+    for (std::size_t r = 0; r < a[i].replies.size(); ++r) {
+      EXPECT_TRUE(same(a[i].replies[r], b[i].replies[r]))
+          << "thread " << i << " reply " << r;
+    }
+  }
+}
+
+TEST(KeywordSearch, ChunkedScanMatchesSerial) {
+  corpus::SynthConfig ragged;
+  ragged.seed = 7;
+  ragged.mysql_messages = 12 * 512 + 5;  // not a multiple of the scan chunk
+  for (const corpus::SynthConfig& config : {corpus::SynthConfig{}, ragged}) {
+    const corpus::MailingList list = corpus::make_mysql_list(config);
+    KeywordFunnel serial_funnel;
+    const auto serial =
+        mine_threads(list, study_keywords(), &serial_funnel, 1);
+    EXPECT_GT(serial_funnel.keyword_hits, 0u);
+    EXPECT_FALSE(serial.empty());
+    for (const std::size_t threads : {2u, 4u}) {
+      KeywordFunnel funnel;
+      const auto mined = mine_threads(list, study_keywords(), &funnel, threads);
+      EXPECT_EQ(funnel.total_messages, serial_funnel.total_messages);
+      EXPECT_EQ(funnel.keyword_hits, serial_funnel.keyword_hits);
+      EXPECT_EQ(funnel.report_shaped, serial_funnel.report_shaped);
+      EXPECT_EQ(funnel.threads, serial_funnel.threads);
+      expect_same_threads(mined, serial);
+    }
+  }
+}
+
+TEST(KeywordSearch, StudyListFunnel) {
+  // The paper's MySQL funnel on the default synthesized archive.
+  KeywordFunnel funnel;
+  const auto threads =
+      mine_threads(corpus::make_mysql_list(), study_keywords(), &funnel, 4);
+  EXPECT_EQ(funnel.total_messages, 44000u);
+  EXPECT_EQ(funnel.keyword_hits, 3468u);
+  EXPECT_EQ(funnel.report_shaped, 44u);
+  EXPECT_EQ(funnel.threads, 44u);
+  EXPECT_EQ(threads.size(), 44u);
+}
+
 // -------------------------------------------------------------- unionfind
 
 TEST(UnionFind, SingletonsInitially) {

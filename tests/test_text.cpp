@@ -2,6 +2,7 @@
 // MinHash (including the Jaccard-estimation property).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 
 #include "text/minhash.hpp"
@@ -137,6 +138,248 @@ TEST(Stemmer, StemAllMapsEveryToken) {
   const auto t = stem_all({"crashes", "running"});
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0], stem("crashes"));
+}
+
+// ------------------------------------------ differential: text vs <cctype>
+
+// The tokenizer and stemmer as they were before they moved to ASCII range
+// tests and a reused buffer, kept verbatim as the reference the current
+// ones must equal byte for byte.
+namespace reference {
+
+bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+bool is_joiner(char c) { return c == '.' || c == '-'; }
+
+std::vector<std::string> tokenize(std::string_view input,
+                                  const TokenizerOptions& options) {
+  std::vector<std::string> tokens;
+  std::size_t i = 0;
+  while (i < input.size()) {
+    if (!is_word_char(input[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < input.size()) {
+      if (is_word_char(input[i])) {
+        ++i;
+      } else if (is_joiner(input[i]) && i + 1 < input.size() &&
+                 is_word_char(input[i + 1])) {
+        i += 2;  // joiner plus the character that legitimized it
+      } else {
+        break;
+      }
+    }
+    std::string tok(input.substr(start, i - start));
+    if (options.lowercase) {
+      for (char& c : tok) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (!options.keep_numbers) {
+      bool all_digit_or_punct = true;
+      for (char c : tok) {
+        if (std::isalpha(static_cast<unsigned char>(c))) {
+          all_digit_or_punct = false;
+          break;
+        }
+      }
+      if (all_digit_or_punct) continue;
+    }
+    if (tok.size() >= options.min_length) tokens.push_back(std::move(tok));
+  }
+  return tokens;
+}
+
+bool plain_alpha(std::string_view t) {
+  for (char c : t) {
+    if (!std::isalpha(static_cast<unsigned char>(c))) return false;
+  }
+  return true;
+}
+
+bool is_vowel(char c) {
+  return c == 'a' || c == 'e' || c == 'i' || c == 'o' || c == 'u';
+}
+
+bool has_vowel(std::string_view t) {
+  for (char c : t) {
+    if (is_vowel(c)) return true;
+  }
+  return false;
+}
+
+bool ends(std::string_view t, std::string_view suffix) {
+  return t.size() >= suffix.size() &&
+         t.substr(t.size() - suffix.size()) == suffix;
+}
+
+std::string stem(std::string_view token) {
+  if (token.size() < 4 || !plain_alpha(token)) return std::string(token);
+  std::string t(token);
+
+  if (ends(t, "sses")) {
+    t.resize(t.size() - 2);
+  } else if (ends(t, "ies")) {
+    t.resize(t.size() - 2);
+  } else if (ends(t, "s") && !ends(t, "ss") && !ends(t, "us")) {
+    t.resize(t.size() - 1);
+  }
+
+  auto strip_if_vowel_stem = [&](std::string_view suffix) {
+    if (!ends(t, suffix)) return false;
+    const std::string_view stem_part(t.data(), t.size() - suffix.size());
+    if (stem_part.size() < 2 || !has_vowel(stem_part)) return false;
+    t.resize(stem_part.size());
+    return true;
+  };
+  if (strip_if_vowel_stem("ing") || strip_if_vowel_stem("ed")) {
+    if (t.size() >= 3 && t[t.size() - 1] == t[t.size() - 2] &&
+        !is_vowel(t.back()) && t.back() != 'l' && t.back() != 's' &&
+        t.back() != 'z') {
+      t.resize(t.size() - 1);
+    }
+    if (ends(t, "at") || ends(t, "bl") || ends(t, "iz")) t += 'e';
+  }
+
+  struct Rule {
+    std::string_view from, to;
+  };
+  static constexpr Rule kRules[] = {
+      {"ization", "ize"}, {"ational", "ate"}, {"fulness", "ful"},
+      {"ousness", "ous"}, {"iveness", "ive"}, {"tional", "tion"},
+      {"biliti", "ble"},  {"ation", "ate"},   {"alism", "al"},
+      {"aliti", "al"},    {"iviti", "ive"},   {"ment", "ment"},
+  };
+  for (const auto& r : kRules) {
+    if (ends(t, r.from) && t.size() - r.from.size() >= 2) {
+      t.resize(t.size() - r.from.size());
+      t += r.to;
+      break;
+    }
+  }
+
+  if (t.size() >= 5 && t.back() == 'e' && !is_vowel(t[t.size() - 2])) {
+    t.resize(t.size() - 1);
+  }
+  return t;
+}
+
+}  // namespace reference
+
+/// A random word: a stem of letters (either case, sometimes a digit, '_' or
+/// a byte >= 0x80) plus, often, one of the suffixes the stemmer rewrites.
+std::string random_word(util::Rng& rng) {
+  static constexpr std::string_view kSuffixes[] = {
+      "s",       "ss",      "sses",    "ies",     "us",     "ing",
+      "ed",      "ated",    "bling",   "izing",   "pped",   "lled",
+      "ization", "ational", "fulness", "ousness", "iveness", "tional",
+      "biliti",  "ation",   "alism",   "aliti",   "iviti",  "ment",
+      "e",       "ee",      "INGS",    "Ed"};
+  static constexpr std::string_view kLetters =
+      "abcdefghijklmnopqrstuvwxyzaeiouAEIOUBCDXYZ";
+  std::string w;
+  const std::size_t len = 1 + rng.below(7);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t pick = rng.below(40);
+    if (pick == 0) {
+      w += static_cast<char>('0' + rng.below(10));
+    } else if (pick == 1) {
+      w += '_';
+    } else if (pick == 2) {
+      w += static_cast<char>(0x80 + rng.below(128));
+    } else {
+      w += kLetters[rng.below(kLetters.size())];
+    }
+  }
+  if (rng.below(3) != 0) w += kSuffixes[rng.below(std::size(kSuffixes))];
+  return w;
+}
+
+/// Random text: words, numbers and identifiers separated by spaces,
+/// punctuation, '.'/'-' joiners (inside words and at their edges) and
+/// bytes >= 0x80.
+std::string random_text(util::Rng& rng) {
+  static constexpr std::string_view kSeparators[] = {
+      " ", "  ", "\n", ", ", ".", "-", " .", "- ", "..", "--", "!", "(", ")",
+      "/", ":", "\t", "\xc3\xa9", "\xff", "\x80", "_", "'"};
+  std::string text;
+  const std::size_t words = rng.below(24);
+  for (std::size_t i = 0; i < words; ++i) {
+    if (rng.below(4) == 0) {
+      text += kSeparators[rng.below(std::size(kSeparators))];
+    }
+    text += random_word(rng);
+    const std::uint64_t join = rng.below(8);
+    if (join == 0) {
+      text += '.';  // "tar.gz", "2.0.36" or a trailing '.'
+    } else if (join == 1) {
+      text += '-';
+    } else {
+      text += kSeparators[rng.below(std::size(kSeparators))];
+    }
+  }
+  return text;
+}
+
+TEST(TextDifferential, TokenizeMatchesReferenceForEveryOption) {
+  util::Rng rng(20260621);
+  for (int round = 0; round < 400; ++round) {
+    const std::string text = random_text(rng);
+    for (const bool lowercase : {true, false}) {
+      for (const bool keep_numbers : {true, false}) {
+        for (const std::size_t min_length : {0u, 1u, 2u, 3u, 5u}) {
+          const TokenizerOptions opt{lowercase, keep_numbers, min_length};
+          ASSERT_EQ(tokenize(text, opt), reference::tokenize(text, opt))
+              << "input: " << text << " lowercase=" << lowercase
+              << " keep_numbers=" << keep_numbers
+              << " min_length=" << min_length;
+        }
+      }
+    }
+  }
+}
+
+TEST(TextDifferential, StemInPlaceMatchesStemAndReference) {
+  util::Rng rng(4400);
+  for (int round = 0; round < 20000; ++round) {
+    const std::string word = random_word(rng);
+    // Tokens as the pipeline stems them (lowercased) and as given.
+    std::string lowered = word;
+    for (char& c : lowered) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    for (const std::string& token : {word, lowered}) {
+      std::string in_place = token;
+      stem_in_place(in_place);
+      ASSERT_EQ(in_place, stem(token)) << "token: " << token;
+      ASSERT_EQ(in_place, reference::stem(token)) << "token: " << token;
+    }
+  }
+}
+
+TEST(TextDifferential, TokenizedStemsMatchReference) {
+  util::Rng rng(99);
+  for (int round = 0; round < 400; ++round) {
+    const std::string text = random_text(rng);
+    std::vector<std::string> expected;
+    for (const auto& tok : reference::tokenize(text, {})) {
+      expected.push_back(reference::stem(tok));
+    }
+    EXPECT_EQ(stem_all(tokenize(text)), expected) << "input: " << text;
+  }
+}
+
+TEST(Tokenizer, ForEachTokenStopsWhenToldAndReusesScratch) {
+  std::string scratch;
+  std::vector<std::string> seen;
+  for_each_token("Alpha beta GAMMA delta", {}, scratch,
+                 [&](std::string& tok) {
+                   seen.push_back(tok);
+                   return tok != "beta";
+                 });
+  EXPECT_EQ(seen, (std::vector<std::string>{"alpha", "beta"}));
+  EXPECT_EQ(scratch, "beta");
 }
 
 // ---------------------------------------------------------------- tf-idf
