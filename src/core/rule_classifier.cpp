@@ -198,7 +198,8 @@ Classification RuleClassifier::classify(const ReportText& report) const {
   for (std::size_t f = 0; f < std::size(kFields); ++f) {
     const std::string& text = field_text(report, f);
     if (text.empty()) continue;
-    lowered = util::to_lower(text);
+    lowered.assign(text);
+    util::to_lower_in_place(lowered);
     for (const Cue& cue : kCues) {
       if (lowered.find(cue.phrase) != std::string::npos) {
         const double w = cue.weight * kFields[f].weight;

@@ -26,9 +26,6 @@ SpanName SpanName::intern(std::string_view name) {
 }
 
 std::size_t SpanTracer::open(SpanName name) {
-  // A traced trial records a dozen to a few dozen spans: one allocation
-  // for the first sixteen instead of five doublings.
-  if (spans_.empty()) spans_.reserve(kFirstSpans);
   const std::size_t index = spans_.size();
   Span span;
   span.name = name.view();

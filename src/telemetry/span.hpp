@@ -89,8 +89,6 @@ class SpanTracer {
   }
 
  private:
-  static constexpr std::size_t kFirstSpans = 16;
-
   const env::VirtualClock* sim_ = nullptr;
   bool wall_ = false;
   std::uint32_t depth_ = 0;

@@ -32,7 +32,7 @@ void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
       case CounterKind::kSum: add(info.name, value); break;
       case CounterKind::kPeak: peak(info.name, value); break;
       case CounterKind::kMechanismSum:
-        if (value > 0) add(scoped_name("recovery/", info.name), value);
+        add(scoped_name("recovery/", info.name), value);
         break;
     }
   }

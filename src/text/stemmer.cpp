@@ -2,14 +2,16 @@
 
 #include <algorithm>
 
-#include "text/ascii.hpp"
+#include "util/strings.hpp"
 
 namespace faultstudy::text {
 
 namespace {
 
+using util::ends_with;
+
 bool plain_alpha(std::string_view t) {
-  return std::all_of(t.begin(), t.end(), ascii::is_alpha);
+  return std::all_of(t.begin(), t.end(), util::ascii::is_alpha);
 }
 
 bool is_vowel(char c) {
@@ -23,33 +25,23 @@ bool has_vowel(std::string_view t) {
   return false;
 }
 
-/// Compares from the last character back: most tokens differ from a
-/// suffix in their last byte.
-bool ends(std::string_view t, std::string_view suffix) {
-  if (t.size() < suffix.size()) return false;
-  for (std::size_t i = 1; i <= suffix.size(); ++i) {
-    if (t[t.size() - i] != suffix[suffix.size() - i]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void stem_in_place(std::string& t) {
   if (t.size() < 4 || !plain_alpha(t)) return;
 
   // Step 1a: plurals. sses->ss, ies->i, s-> (but not ss).
-  if (ends(t, "sses")) {
+  if (ends_with(t, "sses")) {
     t.resize(t.size() - 2);
-  } else if (ends(t, "ies")) {
+  } else if (ends_with(t, "ies")) {
     t.resize(t.size() - 2);  // "dies" -> "di", matching "died" -> "di"
-  } else if (ends(t, "s") && !ends(t, "ss") && !ends(t, "us")) {
+  } else if (ends_with(t, "s") && !ends_with(t, "ss") && !ends_with(t, "us")) {
     t.resize(t.size() - 1);
   }
 
   // Step 1b: -ed / -ing when a vowel precedes the suffix.
   auto strip_if_vowel_stem = [&](std::string_view suffix) {
-    if (!ends(t, suffix)) return false;
+    if (!ends_with(t, suffix)) return false;
     const std::string_view stem_part(t.data(), t.size() - suffix.size());
     if (stem_part.size() < 2 || !has_vowel(stem_part)) return false;
     t.resize(stem_part.size());
@@ -65,7 +57,9 @@ void stem_in_place(std::string& t) {
     }
     // Restore a trailing 'e' for C-V-C+e stems ("crashe" stays stripped, but
     // "creat(ed)" -> "create" via the common -at -> -ate rule).
-    if (ends(t, "at") || ends(t, "bl") || ends(t, "iz")) t += 'e';
+    if (ends_with(t, "at") || ends_with(t, "bl") || ends_with(t, "iz")) {
+      t += 'e';
+    }
   }
 
   // Step 2 subset: common derivational suffixes seen in bug prose.
@@ -79,7 +73,7 @@ void stem_in_place(std::string& t) {
       {"aliti", "al"},    {"iviti", "ive"},   {"ment", "ment"},
   };
   for (const auto& r : kRules) {
-    if (ends(t, r.from) && t.size() - r.from.size() >= 2) {
+    if (ends_with(t, r.from) && t.size() - r.from.size() >= 2) {
       t.resize(t.size() - r.from.size());
       t += r.to;
       break;

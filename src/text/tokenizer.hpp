@@ -10,7 +10,7 @@
 #include <string_view>
 #include <vector>
 
-#include "text/ascii.hpp"
+#include "util/strings.hpp"
 
 namespace faultstudy::text {
 
@@ -31,7 +31,7 @@ template <class F>
 void for_each_token(std::string_view input, const TokenizerOptions& options,
                     std::string& scratch, F&& f) {
   const auto is_word_char = [](char c) {
-    return ascii::is_alnum(c) || c == '_';
+    return util::ascii::is_alnum(c) || c == '_';
   };
   const std::size_t n = input.size();
   std::size_t i = 0;
@@ -56,13 +56,11 @@ void for_each_token(std::string_view input, const TokenizerOptions& options,
     const std::string_view raw = input.substr(start, i - start);
     if (raw.size() < options.min_length) continue;
     if (!options.keep_numbers &&
-        std::none_of(raw.begin(), raw.end(), ascii::is_alpha)) {
+        std::none_of(raw.begin(), raw.end(), util::ascii::is_alpha)) {
       continue;
     }
     scratch.assign(raw);
-    if (options.lowercase) {
-      for (char& c : scratch) c = ascii::to_lower(c);
-    }
+    if (options.lowercase) util::to_lower_in_place(scratch);
     if (!f(scratch)) return;
   }
 }

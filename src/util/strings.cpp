@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -52,32 +51,17 @@ std::string_view trim(std::string_view s) {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  to_lower_in_place(out);
   return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool icontains(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
-  const auto lower = [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  };
   for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
     bool match = true;
     for (std::size_t j = 0; j < needle.size(); ++j) {
-      if (lower(static_cast<unsigned char>(haystack[i + j])) !=
-          lower(static_cast<unsigned char>(needle[j]))) {
+      if (ascii::to_lower(haystack[i + j]) != ascii::to_lower(needle[j])) {
         match = false;
         break;
       }
