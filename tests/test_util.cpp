@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <set>
 
@@ -281,6 +282,25 @@ TEST(Strings, IContains) {
   EXPECT_TRUE(icontains("abc", ""));
   EXPECT_FALSE(icontains("short", "longer needle"));
   EXPECT_FALSE(icontains("abcdef", "xyz"));
+}
+
+TEST(Strings, AsciiClassesEqualCctypeInTheCLocale) {
+  // The program never calls setlocale, so <cctype> answers for the "C"
+  // locale, bytes >= 0x80 included; util::ascii must give the same answer.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(ascii::is_alpha(c), std::isalpha(b) != 0) << b;
+    EXPECT_EQ(ascii::is_digit(c), std::isdigit(b) != 0) << b;
+    EXPECT_EQ(ascii::is_alnum(c), std::isalnum(b) != 0) << b;
+    EXPECT_EQ(ascii::to_lower(c), static_cast<char>(std::tolower(b))) << b;
+  }
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string lowered = all;
+  to_lower_in_place(lowered);
+  EXPECT_EQ(to_lower(all), lowered);
+  EXPECT_TRUE(icontains(all, "XYZ"));
+  EXPECT_TRUE(icontains("BUFFER OVERFLOW", "buffer overflow"));
 }
 
 TEST(Strings, ReplaceAll) {
