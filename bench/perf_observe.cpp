@@ -1,5 +1,7 @@
 // Overhead benchmarks and gates for the trial event stream's three views —
-// telemetry, forensics, coverage (google-benchmark).
+// telemetry, forensics, coverage (google-benchmark). Telemetry's counters
+// and the coverage probes are both read out of one per-cell event tally, so
+// attaching either view pays for the tally.
 //
 // Before benchmarking, main() runs two gates on the full recovery matrix:
 //
@@ -27,7 +29,7 @@
 //   BM_RingSnapshot        chronological() over a full ring
 //   BM_BuildPostmortem     one causal-chain reconstruction
 //   BM_TriageCluster       clustering the full study's post-mortems
-//   BM_ProbeHit            one CoverageMap probe increment
+//   BM_TallyEmit           one emit into an attached event tally
 //   BM_MapMerge            one full CoverageMap merge
 //   BM_SnapshotRender      canonical JSON of a full study snapshot
 #include <benchmark/benchmark.h>
@@ -196,15 +198,18 @@ void BM_TriageCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_TriageCluster)->Unit(benchmark::kMillisecond);
 
-void BM_ProbeHit(benchmark::State& state) {
-  obs::CoverageMap map;
+void BM_TallyEmit(benchmark::State& state) {
+  obs::EventTally tally;
+  obs::TrialObservers observers{.tally = &tally};
+  obs::TrialObservers* sink = &observers;
   for (auto _ : state) {
-    map.hit(obs::Site::kEnvFdDenied);
+    benchmark::DoNotOptimize(sink);
+    obs::emit(sink, obs::Event::kFdDenied, 1, 2);
     benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(map.count(obs::Site::kEnvFdDenied));
+  benchmark::DoNotOptimize(tally.count(obs::Event::kFdDenied));
 }
-BENCHMARK(BM_ProbeHit);
+BENCHMARK(BM_TallyEmit);
 
 void BM_MapMerge(benchmark::State& state) {
   obs::CoverageMap a;

@@ -67,12 +67,12 @@
 #include "core/rules.hpp"
 #include "mining/pipeline.hpp"
 #include "obs/baseline.hpp"
+#include "obs/event.hpp"
 #include "obs/export.hpp"
 #include "report/study_report.hpp"
 #include "report/table.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
-#include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -119,9 +119,7 @@ int usage() {
       "  --coverage=PATH    matrix/simulate: write the coverage atlas "
       "(.json = JSON, .html = heatmap, else text)\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
-      "on fatal drift; simulate: print the study's record of the specimen\n"
-      "  --log-level=LEVEL  diagnostic verbosity: debug|info|warn|error|off "
-      "(default warn)\n",
+      "on fatal drift; simulate: print the study's record of the specimen\n",
       stderr);
   return 2;
 }
@@ -361,11 +359,11 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   // The trial always runs traced for its narration; tracing adds no
   // scheduler draws, so the verdict and every export are as untraced.
   harness::TrialObservation observation;
+  obs::EventTally tally;
   telemetry::TrialTelemetry telem;
-  obs::CoverageMap cover;
   harness::TrialSinks sinks{.observation = &observation};
+  if (telemetry_wanted() || coverage_wanted()) sinks.tally = &tally;
   if (telemetry_wanted()) sinks.telemetry = &telem;
-  if (coverage_wanted()) sinks.coverage = &cover;
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = named->make();
@@ -406,16 +404,17 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   std::printf("\n%s", observation.transcript.to_string().c_str());
   if (sinks.telemetry != nullptr) {
     telemetry::MetricsRegistry registry;
+    obs::fold_counts(tally, mechanism, registry);
     telemetry::fold_into(telem, mechanism, registry);
     if (export_telemetry(registry.snapshot(),
                          {{fault_id + "/" + mechanism, &telem.spans}}) != 0) {
       return 1;
     }
   }
-  if (sinks.coverage != nullptr) {
+  if (coverage_wanted()) {
     obs::CoverageAtlas atlas;
     atlas.begin_study({*seed}, {mechanism});
-    atlas.fold_trial(*seed, cover);
+    atlas.fold_trial(*seed, obs::coverage_of(tally, seed->trigger));
     if (export_coverage(atlas) != 0) return 1;
     if (baseline.has_value()) {
       std::printf("baseline  : this trial hit %zu/%zu probes; ",
@@ -535,13 +534,6 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--baseline=")) {
       g_baseline_path = arg.substr(std::strlen("--baseline="));
       if (g_baseline_path.empty()) return usage();
-      continue;
-    }
-    if (arg.starts_with("--log-level=")) {
-      const auto level =
-          util::parse_log_level(arg.substr(std::strlen("--log-level=")));
-      if (!level.has_value()) return usage();
-      util::set_log_level(*level);
       continue;
     }
     if (arg.starts_with("--")) {

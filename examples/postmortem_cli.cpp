@@ -14,7 +14,6 @@
 // never a byte of the output artifacts.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
 #include "report/table.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace faultstudy;
@@ -44,8 +42,7 @@ int usage() {
       "options:\n"
       "  --threads N          execution lanes for the matrix (output is\n"
       "                       byte-identical for every N)\n"
-      "  --seed N             base trial seed (default 99)\n"
-      "  --log-level=LEVEL    debug|info|warn|error|off\n",
+      "  --seed N             base trial seed (default 99)\n",
       stderr);
   return 2;
 }
@@ -222,13 +219,6 @@ int main(int argc, char** argv) {
       const long long n = std::strtoll(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0' || n < 0) return usage();
       g_seed = n;
-      continue;
-    }
-    if (arg.starts_with("--log-level=")) {
-      const auto level =
-          util::parse_log_level(arg.substr(std::strlen("--log-level=")));
-      if (!level.has_value()) return usage();
-      util::set_log_level(*level);
       continue;
     }
     args.push_back(arg);

@@ -13,12 +13,12 @@
 //
 // Exit codes: 0 ok / no drift, 1 I/O error, 2 usage error, 3 snapshot
 // parse error, 4 fatal drift (a changed study identity — seed, repeats,
-// trials, probe universe — lost coverage, a mechanism on only one side,
-// distribution or survival-rate shifts beyond tolerance). `check` also
+// trials, probe universe — lost coverage, a counter the candidate no longer
+// reports, a mechanism on only one side, distribution or survival-rate
+// shifts beyond tolerance). `check` also
 // exits 4 when the baseline itself is rejected: the CI gate fails closed.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,7 +29,6 @@
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
 #include "telemetry/trial.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace faultstudy;
@@ -55,7 +54,6 @@ int usage() {
       "  --class-tol=F        fault-class fraction drift band (default "
       "0.02)\n"
       "  --survival-tol=F     survival-rate drift band (default 0.05)\n"
-      "  --log-level=LEVEL    debug|info|warn|error|off (default warn)\n"
       "exit codes: 0 ok, 1 io, 2 usage, 3 parse, 4 drift\n",
       stderr);
   return 2;
@@ -225,13 +223,6 @@ int main(int argc, char** argv) {
                           g_tolerance.survival_rate)) {
         return usage();
       }
-      continue;
-    }
-    if (arg.starts_with("--log-level=")) {
-      const auto level =
-          util::parse_log_level(arg.substr(std::strlen("--log-level=")));
-      if (!level.has_value()) return usage();
-      util::set_log_level(*level);
       continue;
     }
     if (arg.starts_with("--")) {

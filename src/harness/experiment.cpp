@@ -122,9 +122,8 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
   // the whole trial: arming, resource transitions, recoveries, verdict.
   // Mechanisms cache it in attach().
   obs::TrialObservers observers{
-      sinks.telemetry,
-      sinks.forensics != nullptr ? &sinks.forensics->ring : nullptr,
-      sinks.coverage};
+      sinks.tally, sinks.telemetry,
+      sinks.forensics != nullptr ? &sinks.forensics->ring : nullptr};
   if (observers.flight != nullptr) {
     observers.flight->bind_clock(&environment.clock());
   }
@@ -136,8 +135,8 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     recovery_span = telemetry::SpanName::intern(
         "recovery/" + std::string(mechanism.name()));
   }
-  if (observers.telemetry != nullptr || observers.flight != nullptr ||
-      observers.coverage != nullptr) {
+  if (observers.tally != nullptr || observers.telemetry != nullptr ||
+      observers.flight != nullptr) {
     environment.set_observers(&observers);
   }
   obs::TrialObservers* const stream = environment.observers();
@@ -355,12 +354,12 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     int survived = 0;
     int observed = 0;
     bool lost_state = false;
-    /// Shared by the cell's repeats: counters and histograms accumulate
-    /// over them, the spans are the first repeat's. Heap-allocated, like
-    /// `probes`, so the unobserved path pays one pointer per cell.
+    /// Shared by the cell's repeats: counts and histograms accumulate over
+    /// them, the spans are the first repeat's. Heap-allocated, so the
+    /// unobserved path pays one pointer per view per cell. The tally feeds
+    /// both the telemetry counters and the coverage probes.
+    std::unique_ptr<obs::EventTally> tally;
     std::unique_ptr<telemetry::TrialTelemetry> telem;
-    /// Union coverage over the cell's repeats (every repeat marks it).
-    std::unique_ptr<obs::CoverageMap> probes;
     /// Per-repeat forensic fold data, in repeat order: whether the trial
     /// survived and (iff it did not) its post-mortem.
     struct TrialFate {
@@ -376,9 +375,9 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         const corpus::SeedFault& seed = seeds[cell % seeds.size()];
         CellVotes votes;
         TrialSinks sinks;
-        if (coverage != nullptr) {
-          votes.probes = std::make_unique<obs::CoverageMap>();
-          sinks.coverage = votes.probes.get();
+        if (telemetry != nullptr || coverage != nullptr) {
+          votes.tally = std::make_unique<obs::EventTally>();
+          sinks.tally = votes.tally.get();
         }
         if (telemetry != nullptr) {
           votes.telem = std::make_unique<telemetry::TrialTelemetry>();
@@ -438,6 +437,7 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     for (std::size_t s = 0; s < seeds.size(); ++s) {
       CellVotes& votes = cells[m * seeds.size() + s];
       if (votes.telem != nullptr) {
+        obs::fold_counts(*votes.tally, mechanisms[m].name, telemetry->metrics);
         telemetry->fold_trial(mechanisms[m].name,
                               mechanisms[m].name + "/" + seeds[s].fault_id,
                               std::move(*votes.telem));
@@ -445,8 +445,9 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       for (auto& fate : votes.fates) {
         forensics->fold_trial(fate.survived, std::move(fate.postmortem));
       }
-      if (votes.probes != nullptr) {
-        coverage->fold_cell(m, s, *votes.probes,
+      if (coverage != nullptr) {
+        coverage->fold_cell(m, s,
+                            obs::coverage_of(*votes.tally, seeds[s].trigger),
                             static_cast<std::uint64_t>(repeats),
                             static_cast<std::uint64_t>(votes.observed),
                             static_cast<std::uint64_t>(votes.survived));

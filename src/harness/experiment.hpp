@@ -23,6 +23,7 @@
 #include "harness/transcript.hpp"
 #include "inject/specimen.hpp"
 #include "obs/atlas.hpp"
+#include "obs/event.hpp"
 #include "recovery/mechanism.hpp"
 #include "telemetry/trial.hpp"
 
@@ -71,33 +72,35 @@ struct TrialObservation {
 /// resource-level transcript (descriptor and process-table deltas, disk
 /// writes, recovery windows) alongside the protocol events.
 ///
-/// `telemetry`, `forensics` and `coverage` are the three views of the trial
-/// event stream (obs/event.hpp), bound into the environment as one
+/// `tally`, `telemetry` and `forensics` are the views of the trial event
+/// stream (obs/event.hpp), bound into the environment as one
 /// obs::TrialObservers before anything else happens:
 ///
-///   * telemetry: counters, tick histograms for items and recoveries, and
-///     sim-domain spans (a "trial" root plus one "recovery/<mechanism>"
-///     span per recovery). Counters and histograms accumulate across the
-///     trials that share one TrialTelemetry; spans are recorded only into
-///     an empty tracer, so a shared TrialTelemetry keeps the first trial's
-///     trace (run_matrix shares one across the repeats of a cell);
+///   * tally: every event counted once — the numbers the telemetry counters
+///     (obs::fold_counts) and the coverage probes (obs::coverage_of) are
+///     read out of: env denial branches, app state transitions,
+///     recovery-mechanism actions, the armed fault and the verdict. Counts
+///     accumulate across the trials that share one tally;
+///   * telemetry: tick histograms for items and recoveries, and sim-domain
+///     spans (a "trial" root plus one "recovery/<mechanism>" span per
+///     recovery). Histograms accumulate across the trials that share one
+///     TrialTelemetry; spans are recorded only into an empty tracer, so a
+///     shared TrialTelemetry keeps the first trial's trace (run_matrix
+///     shares one across the repeats of a cell);
 ///   * forensics: the flight-recorder ring. When the trial does NOT
 ///     survive, the runner snapshots the ring plus the environment's
 ///     resource state into `forensics->postmortem` and reconstructs the
 ///     causal chain from injected fault to recovery outcome
 ///     (forensics/postmortem.hpp); traced trials also get detector verdicts
-///     folded into the chain's detection stage;
-///   * coverage: every probe the trial crosses — env denial branches, app
-///     state transitions, recovery-mechanism actions, the injected trigger,
-///     and the verdict.
+///     folded into the chain's detection stage.
 ///
 /// Everything recorded is simulation state, so it is identical for every
 /// thread count.
 struct TrialSinks {
   TrialObservation* observation = nullptr;
+  obs::EventTally* tally = nullptr;
   telemetry::TrialTelemetry* telemetry = nullptr;
   forensics::TrialForensics* forensics = nullptr;
-  obs::CoverageMap* coverage = nullptr;
 };
 
 /// Runs one fault under one mechanism, feeding whichever views `sinks`
@@ -161,11 +164,13 @@ struct MatrixResult {
 /// cell's index slot, and one serial reduction folds cells in (mechanism,
 /// seed) index order, so every attached view comes out bit-identical for
 /// every thread count:
-///   * `telemetry`: counters and tick histograms summed over repeats; the
-///     kept trace is the first repeat's, labeled "mechanism/fault-id";
+///   * `telemetry`: counters (obs::fold_counts of the cell's tally) and
+///     tick histograms summed over repeats; the kept trace is the first
+///     repeat's, labeled "mechanism/fault-id";
 ///   * `forensics`: every failed trial's post-mortem, stamped with its
 ///     repeat ordinal, in (mechanism, seed, repeat) order;
-///   * `coverage`: the union probe map of each cell, folded into the atlas.
+///   * `coverage`: each cell's probe map (obs::coverage_of of the cell's
+///     tally, summed over repeats), folded into the atlas.
 MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
                         const std::vector<NamedMechanism>& mechanisms,
                         const TrialConfig& config = {}, int repeats = 3,

@@ -463,13 +463,14 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
     if (!known) note("new specimen: " + c.fault_id);
   }
 
-  // --- telemetry counters (informational only) ---
+  // --- telemetry counters: a value change is a note, a counter the
+  // candidate no longer reports (dropped or renamed) is fatal ---
   for (const auto& b : baseline.counters) {
     const auto it = std::find_if(
         candidate.counters.begin(), candidate.counters.end(),
         [&b](const auto& c) { return c.name == b.name; });
     if (it == candidate.counters.end()) {
-      note("counter disappeared: " + b.name);
+      fatal("counter disappeared: " + b.name);
     } else if (it->value != b.value) {
       note("counter " + b.name + " " + std::to_string(b.value) + " -> " +
            std::to_string(it->value));

@@ -10,10 +10,10 @@
 // counts, and a textual diff of two snapshots is already meaningful.
 //
 // `diff` compares a candidate against a baseline and separates *fatal*
-// drift (lost coverage, lost taxonomy cells, disappeared specimens, a
-// mechanism on only one side, class-distribution or survival-rate shifts
-// beyond the tolerance band) from *notes* (new coverage, hit-count and
-// counter deltas). CI fails on `regressed()`.
+// drift (lost coverage, lost taxonomy cells, disappeared specimens or
+// counters, a mechanism on only one side, class-distribution or
+// survival-rate shifts beyond the tolerance band) from *notes* (new
+// coverage, hit-count and counter value deltas). CI fails on `regressed()`.
 #pragma once
 
 #include <array>

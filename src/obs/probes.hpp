@@ -1,15 +1,17 @@
 // Coverage-probe primitives: the probe site enumeration and the plain
-// per-trial CoverageMap the trial event stream (obs/event.hpp) marks.
+// per-cell CoverageMap that obs::coverage_of (obs/event.hpp) reads out of
+// the trial event stream's tally.
 //
-// A probe is the cheapest possible observation: "this branch ran". The atlas
-// layer (obs/atlas.hpp) folds per-trial maps into a study-wide coverage
-// atlas; this header is the hot-path half. With a map attached each probe
-// is one array-indexed increment into a preallocated slot.
+// A probe is the cheapest possible observation: "this branch ran". The
+// event stream counts each event once into an EventTally; at fold time
+// each rule's site gets its event's count, and the atlas layer
+// (obs/atlas.hpp) folds the per-cell maps into a study-wide coverage atlas.
 //
-// Determinism contract: a trial is single-threaded and owns its CoverageMap;
-// parallel sweeps give every matrix cell its own map in a per-index slot and
-// merge serially in index order (the PR 2 contract), so the folded atlas is
-// bit-identical for every thread count. Every value is an integer.
+// Determinism contract: a trial is single-threaded and owns its tally;
+// parallel sweeps give every matrix cell its own tally in a per-index slot
+// and fold the cells' maps serially in index order (DESIGN.md §8), so
+// the folded atlas is bit-identical for every thread count. Every value is
+// an integer.
 #pragma once
 
 #include <array>
@@ -78,19 +80,11 @@ enum class Site : std::uint16_t {
 
 inline constexpr std::size_t kNumSites = static_cast<std::size_t>(Site::kCount);
 
-/// The per-trial probe sink. Two planes: structural sites (the Site enum)
-/// and injectable fault sites (one per trigger recipe). Plain integer
-/// arrays; a trial is single-threaded, so no atomics.
+/// Probe hit counts in two planes: structural sites (the Site enum) and
+/// injectable fault sites (one per trigger recipe). Plain integer arrays.
 struct CoverageMap {
   std::array<std::uint64_t, kNumSites> sites{};
   std::array<std::uint64_t, core::kNumTriggers> inject{};
-
-  void hit(Site site) noexcept {
-    ++sites[static_cast<std::size_t>(site)];
-  }
-  void hit_inject(core::Trigger trigger) noexcept {
-    ++inject[static_cast<std::size_t>(trigger)];
-  }
 
   std::uint64_t count(Site site) const noexcept {
     return sites[static_cast<std::size_t>(site)];

@@ -11,42 +11,23 @@ TrialTelemetry::TrialTelemetry()
 
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry) {
-  const auto add = [&](std::string_view name, std::uint64_t n) {
-    if (n > 0) registry.add(registry.counter(name), n);
-  };
-  const auto peak = [&](std::string_view name, std::uint64_t high) {
-    registry.peak(registry.gauge(name), static_cast<std::int64_t>(high));
-  };
-  // Per-mechanism names are assembled in one reused buffer: this fold runs
-  // once per matrix cell.
+  // Both names are assembled in one buffer, sized once: this fold runs once
+  // per matrix cell.
   const std::string_view mech = mechanism.empty() ? "trial" : mechanism;
+  constexpr std::string_view kItemTail = "/item_latency_ticks";
   std::string scoped;
-  const auto scoped_name = [&](std::string_view head, std::string_view tail) {
-    scoped.assign(head).append(mech).append("/").append(tail);
-    return std::string_view(scoped);
-  };
-
-  for (const CounterInfo& info : kCounterInfo) {
-    const std::uint64_t value = trial.counters.*info.field;
-    switch (info.kind) {
-      case CounterKind::kSum: add(info.name, value); break;
-      case CounterKind::kPeak: peak(info.name, value); break;
-      case CounterKind::kMechanismSum:
-        add(scoped_name("recovery/", info.name), value);
-        break;
-    }
-  }
-
+  scoped.reserve(std::string_view("trial/").size() + mech.size() +
+                 kItemTail.size());
   if (!trial.recovery_latency_ticks.empty()) {
+    scoped.assign("recovery/").append(mech).append("/latency_ticks");
     const HistogramId id =
-        registry.histogram(scoped_name("recovery/", "latency_ticks"),
-                           trial.recovery_latency_ticks.bounds());
+        registry.histogram(scoped, trial.recovery_latency_ticks.bounds());
     registry.merge_histogram(id, trial.recovery_latency_ticks);
   }
   if (!trial.item_latency_ticks.empty()) {
+    scoped.assign("trial/").append(mech).append(kItemTail);
     const HistogramId id =
-        registry.histogram(scoped_name("trial/", "item_latency_ticks"),
-                           trial.item_latency_ticks.bounds());
+        registry.histogram(scoped, trial.item_latency_ticks.bounds());
     registry.merge_histogram(id, trial.item_latency_ticks);
   }
 }

@@ -1,10 +1,12 @@
 // Per-trial and per-study telemetry aggregates.
 //
-// TrialTelemetry is the single-threaded sink one trial writes into: plain
-// counters, tick histograms, and a sim-domain span tracer. A parallel matrix
-// sweep allocates one TrialTelemetry per cell in a per-index slot and folds
-// them into a StudyTelemetry serially in index order, so the aggregate is
-// bit-identical for every thread count.
+// TrialTelemetry is the single-threaded sink one trial writes into: tick
+// histograms and a sim-domain span tracer. The trial's counters live in the
+// event stream's tally (obs/event.hpp), which obs::fold_counts folds into
+// the same registry. A parallel matrix sweep allocates one TrialTelemetry
+// per cell in a per-index slot and folds them into a StudyTelemetry
+// serially in index order, so the aggregate is bit-identical for every
+// thread count.
 #pragma once
 
 #include <memory>
@@ -13,28 +15,26 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/counters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/thread_pool.hpp"
 
 namespace faultstudy::telemetry {
 
-/// Everything one trial records. Bind `spans` to the trial's clock and
-/// `counters` into the environment before running.
+/// What one trial records beside its tally. Bind `spans` to the trial's
+/// clock before running.
 struct TrialTelemetry {
   TrialTelemetry();
 
-  TrialCounters counters;
   Histogram recovery_latency_ticks;  ///< env ticks per recovery attempt
   Histogram item_latency_ticks;      ///< env ticks per workload item
   SpanTracer spans;                  ///< sim domain
 };
 
-/// Registers and bumps registry metrics from one trial's aggregates.
-/// Resource and app counters fold into global `env/...` and `app/...`
-/// metrics; recovery counters and latency histograms fold under
-/// `recovery/<mechanism>/...` so per-mechanism behavior stays visible.
+/// Merges one trial's latency histograms into the registry:
+/// `recovery/<mechanism>/latency_ticks` and
+/// `trial/<mechanism>/item_latency_ticks`, so per-mechanism behavior stays
+/// visible.
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry);
 
@@ -45,8 +45,8 @@ struct StudyTelemetry {
   MetricsRegistry metrics;
   std::vector<std::pair<std::string, SpanTracer>> traces;
 
-  /// Folds one trial's metrics and keeps its trace; `trace_label` names the
-  /// trace thread in the Chrome export (e.g. "rollback_retry/web-fd-leak").
+  /// Folds one trial's histograms and keeps its trace; `trace_label` names
+  /// the trace thread in the Chrome export (e.g. "rollback_retry/web-fd-leak").
   void fold_trial(std::string_view mechanism, std::string_view trace_label,
                   TrialTelemetry&& trial);
 };

@@ -86,7 +86,7 @@ TEST(FlightRecorder, ClearResetsWithoutReallocating) {
 
 TEST(EventStream, RingTakesOnlyFlightEvents) {
   FlightRecorder ring;
-  obs::TrialObservers observers{nullptr, &ring, nullptr};
+  obs::TrialObservers observers{.flight = &ring};
   obs::emit(nullptr, obs::Event::kCheckpoint);
   EXPECT_TRUE(ring.empty());
   // Counter-only events never enter the ring, so they cannot push the

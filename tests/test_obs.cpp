@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/seeds.hpp"
@@ -31,21 +34,34 @@ std::vector<harness::NamedMechanism> small_roster(std::size_t n) {
   return mechanisms;
 }
 
+void mark(obs::CoverageMap& map, obs::Site site) {
+  ++map.sites[static_cast<std::size_t>(site)];
+}
+
+void mark(obs::CoverageMap& map, core::Trigger trigger) {
+  ++map.inject[static_cast<std::size_t>(trigger)];
+}
+
 // --- CoverageMap primitives ------------------------------------------------
 
 TEST(CoverageMap, HitAndMergeAccumulate) {
-  obs::CoverageMap a;
-  EXPECT_TRUE(a.empty());
-  a.hit(obs::Site::kEnvFdDenied);
-  a.hit(obs::Site::kEnvFdDenied);
-  a.hit_inject(core::Trigger::kRaceCondition);
+  // Probes are hit through the event stream: events counted into a tally,
+  // read out as a map.
+  obs::EventTally tally;
+  obs::TrialObservers observers{.tally = &tally};
+  EXPECT_TRUE(obs::coverage_of(tally, core::Trigger::kRaceCondition).empty());
+  obs::emit(&observers, obs::Event::kFdDenied);
+  obs::emit(&observers, obs::Event::kFdDenied);
+  obs::emit(&observers, obs::Event::kFaultArmed,
+            static_cast<std::uint64_t>(core::Trigger::kRaceCondition));
+  obs::CoverageMap a = obs::coverage_of(tally, core::Trigger::kRaceCondition);
   EXPECT_EQ(a.count(obs::Site::kEnvFdDenied), 2u);
   EXPECT_EQ(a.count_inject(core::Trigger::kRaceCondition), 1u);
   EXPECT_EQ(a.probes_hit(), 2u);
 
   obs::CoverageMap b;
-  b.hit(obs::Site::kEnvFdDenied);
-  b.hit(obs::Site::kAppStarted);
+  mark(b, obs::Site::kEnvFdDenied);
+  mark(b, obs::Site::kAppStarted);
   a.merge(b);
   EXPECT_EQ(a.count(obs::Site::kEnvFdDenied), 3u);
   EXPECT_EQ(a.count(obs::Site::kAppStarted), 1u);
@@ -74,8 +90,9 @@ TEST(CoverageProbes, TrialRecordsProbesWhenCompiledIn) {
   const auto seeds = small_corpus(1);
   const auto plan = inject::plan_for(seeds[0], 42);
   auto mechanism = harness::standard_mechanisms()[0].make();
-  obs::CoverageMap map;
-  (void)harness::run_trial(plan, *mechanism, {}, {.coverage = &map});
+  obs::EventTally tally;
+  (void)harness::run_trial(plan, *mechanism, {}, {.tally = &tally});
+  const obs::CoverageMap map = obs::coverage_of(tally, seeds[0].trigger);
   // The trial must at least arm its trigger, start the app, attach the
   // mechanism, and reach a verdict.
   EXPECT_GT(map.count_inject(seeds[0].trigger), 0u);
@@ -101,10 +118,12 @@ TEST(EventStream, TableReachesEveryProbeAndFlightCode) {
       code[static_cast<std::size_t>(r.flight)] = true;
     }
   }
-  // kVerdict marks the verdict probes by operand.
-  for (std::size_t v = 0;
-       v < static_cast<std::size_t>(forensics::TrialVerdict::kCount); ++v) {
-    site[static_cast<std::size_t>(obs::Site::kTrialSurvived) + v] = true;
+  // The per-verdict event marks the verdict probes by operand.
+  for (std::size_t e = 0; e < obs::kNumEvents; ++e) {
+    if (!obs::kEventRules[e].per_verdict) continue;
+    for (std::size_t v = 0; v < obs::kNumVerdicts; ++v) {
+      site[static_cast<std::size_t>(obs::Site::kTrialSurvived) + v] = true;
+    }
   }
   for (std::size_t i = 0; i < site.size(); ++i) {
     EXPECT_TRUE(site[i]) << obs::site_name(static_cast<obs::Site>(i));
@@ -113,6 +132,137 @@ TEST(EventStream, TableReachesEveryProbeAndFlightCode) {
     EXPECT_TRUE(code[i]) << forensics::to_string(
         static_cast<forensics::FlightCode>(i));
   }
+}
+
+TEST(EventStream, FoldNamesEveryParentCounter) {
+  // The (name, kind) rows of the per-trial counter table the event table
+  // replaced, verbatim: firing every event once must register exactly these
+  // counters and gauges, so no metric is renamed or dropped by the table.
+  enum Kind { kSum, kPeak, kMechanismSum };
+  struct Row {
+    std::string_view name;
+    Kind kind;
+  };
+  const Row rows[] = {
+      {"env/proc/spawns", kSum},
+      {"env/proc/spawn_failures", kSum},
+      {"env/proc/kills", kSum},
+      {"env/proc/marked_hung", kSum},
+      {"env/proc/peak", kPeak},
+      {"env/fd/acquired", kSum},
+      {"env/fd/acquire_failures", kSum},
+      {"env/fd/released", kSum},
+      {"env/fd/peak", kPeak},
+      {"env/disk/writes", kSum},
+      {"env/disk/bytes_written", kSum},
+      {"env/disk/write_failures", kSum},
+      {"env/disk/truncates", kSum},
+      {"env/disk/peak_used", kPeak},
+      {"env/dns/lookups", kSum},
+      {"env/dns/errors", kSum},
+      {"env/dns/slow_replies", kSum},
+      {"env/dns/reverse_misses", kSum},
+      {"env/net/port_binds", kSum},
+      {"env/net/port_bind_failures", kSum},
+      {"env/net/ports_released", kSum},
+      {"env/net/kernel_resource_denied", kSum},
+      {"env/sched/draws", kSum},
+      {"env/sched/replays", kSum},
+      {"env/entropy/reads", kSum},
+      {"env/entropy/blocked", kSum},
+      {"env/entropy/bits_taken", kSum},
+      {"app/requests_served", kSum},
+      {"app/cache_fills", kSum},
+      {"app/cgi_children", kSum},
+      {"app/queries_ok", kSum},
+      {"app/ui_events", kSum},
+      {"attempts", kMechanismSum},
+      {"successes", kMechanismSum},
+      {"failures", kMechanismSum},
+      {"items_rewound", kMechanismSum},
+      {"checkpoints", kMechanismSum},
+      {"failovers", kMechanismSum},
+      {"cold_restarts", kMechanismSum},
+      {"rejuvenation_cycles", kMechanismSum},
+      {"proactive_rejuvenations", kMechanismSum},
+      {"retries_sanitized", kMechanismSum},
+  };
+  ASSERT_EQ(std::size(rows), 42u);
+  std::vector<std::string> want_counters;
+  std::vector<std::string> want_gauges;
+  for (const Row& row : rows) {
+    switch (row.kind) {
+      case kSum: want_counters.emplace_back(row.name); break;
+      case kPeak: want_gauges.emplace_back(row.name); break;
+      case kMechanismSum:
+        want_counters.push_back("recovery/m/" + std::string(row.name));
+        break;
+    }
+  }
+  std::sort(want_counters.begin(), want_counters.end());
+  std::sort(want_gauges.begin(), want_gauges.end());
+
+  obs::EventTally tally;
+  obs::TrialObservers observers{.tally = &tally};
+  for (std::size_t e = 0; e < obs::kNumEvents; ++e) {
+    obs::emit(&observers, static_cast<obs::Event>(e), 1, 1);
+  }
+  telemetry::MetricsRegistry registry;
+  obs::fold_counts(tally, "m", registry);
+  const auto snap = registry.snapshot();
+
+  std::vector<std::string> counters;
+  for (const auto& c : snap.counters) {
+    counters.push_back(c.name);
+    // kDiskNoSpace and kDiskFileTooBig both feed the write failures.
+    EXPECT_EQ(c.value, c.name == "env/disk/write_failures" ? 2u : 1u)
+        << c.name;
+  }
+  std::vector<std::string> gauges;
+  for (const auto& g : snap.gauges) {
+    gauges.push_back(g.name);
+    EXPECT_EQ(g.value, 1) << g.name;
+  }
+  EXPECT_EQ(counters, want_counters);
+  EXPECT_EQ(gauges, want_gauges);
+  EXPECT_TRUE(snap.histograms.empty());
+}
+
+TEST(EventStream, CoverageOfTally) {
+  obs::EventTally tally;
+  obs::TrialObservers observers{.tally = &tally};
+  const core::Trigger armed = core::Trigger::kDiskCacheFull;
+  for (int i = 0; i < 2; ++i) {
+    obs::emit(&observers, obs::Event::kFaultArmed,
+              static_cast<std::uint64_t>(armed));
+  }
+  // Verdict v is reached v + 1 times.
+  for (std::size_t v = 0; v < obs::kNumVerdicts; ++v) {
+    for (std::size_t i = 0; i <= v; ++i) {
+      obs::emit(&observers, obs::Event::kVerdict, v);
+    }
+  }
+  // A runaway child and two CGI children mark one probe.
+  obs::emit(&observers, obs::Event::kAppChildSpawned, 11);
+  obs::emit(&observers, obs::Event::kAppCgiChild, 12);
+  obs::emit(&observers, obs::Event::kAppCgiChild, 13);
+  // Counter-only events mark nothing.
+  obs::emit(&observers, obs::Event::kSchedDraw);
+  obs::emit(&observers, obs::Event::kDiskWrite, 64, 64);
+
+  const obs::CoverageMap map = obs::coverage_of(tally, armed);
+  for (std::size_t t = 0; t < core::kNumTriggers; ++t) {
+    const auto trigger = static_cast<core::Trigger>(t);
+    EXPECT_EQ(map.count_inject(trigger), trigger == armed ? 2u : 0u)
+        << obs::inject_site_name(trigger);
+  }
+  for (std::size_t v = 0; v < obs::kNumVerdicts; ++v) {
+    const auto site = static_cast<obs::Site>(
+        static_cast<std::size_t>(obs::Site::kTrialSurvived) + v);
+    EXPECT_EQ(map.count(site), v + 1) << obs::site_name(site);
+  }
+  EXPECT_EQ(map.count(obs::Site::kAppChildSpawned), 3u);
+  EXPECT_EQ(map.probes_hit(), 1 + obs::kNumVerdicts + 1);
 }
 
 // --- atlas fold determinism ------------------------------------------------
@@ -147,8 +297,8 @@ TEST(CoverageAtlas, FoldCellFillsSpecimensAndGrids) {
   ASSERT_EQ(atlas.grids().size(), 2u);
 
   obs::CoverageMap cell;
-  cell.hit(obs::Site::kAppStarted);
-  cell.hit_inject(seeds[1].trigger);
+  mark(cell, obs::Site::kAppStarted);
+  mark(cell, seeds[1].trigger);
   atlas.fold_cell(1, 1, cell, /*trials=*/3, /*observed=*/3, /*survived=*/2);
 
   EXPECT_EQ(atlas.trials(), 3u);
@@ -170,8 +320,8 @@ TEST(CoverageAtlas, BlindSpotsListsEveryUnhitProbe) {
   // A synthetic registry where exactly one structural site and one trigger
   // were ever exercised.
   obs::CoverageMap map;
-  map.hit(obs::Site::kEnvFdDenied);
-  map.hit_inject(core::Trigger::kRaceCondition);
+  mark(map, obs::Site::kEnvFdDenied);
+  mark(map, core::Trigger::kRaceCondition);
   atlas.fold_cell(0, 0, map, 1, 1, 1);
 
   const auto blind = atlas.blind_spots();
@@ -439,6 +589,23 @@ TEST_F(BaselineTest, CounterDeltaIsANote) {
   const auto drift = obs::diff(snapshot_, perturbed);
   EXPECT_FALSE(drift.empty());
   EXPECT_FALSE(drift.regressed()) << obs::render_text(drift);
+}
+
+TEST_F(BaselineTest, MissingCounterIsFatal) {
+  // A renamed or dropped metric: the baseline's counter is gone from the
+  // candidate. A counter only the candidate reports is not drift.
+  obs::StudySnapshot renamed = snapshot_;
+  ASSERT_FALSE(renamed.counters.empty());
+  renamed.counters[0].name += "_renamed";
+  const auto drift = obs::diff(snapshot_, renamed);
+  EXPECT_TRUE(drift.regressed()) << obs::render_text(drift);
+  EXPECT_NE(obs::render_text(drift).find("FATAL counter disappeared: " +
+                                         snapshot_.counters[0].name),
+            std::string::npos);
+  obs::StudySnapshot dropped = snapshot_;
+  dropped.counters.clear();
+  EXPECT_TRUE(obs::diff(snapshot_, dropped).regressed());
+  EXPECT_FALSE(obs::diff(dropped, snapshot_).regressed());
 }
 
 TEST_F(BaselineTest, RenderTextPutsFatalFirst) {

@@ -18,7 +18,6 @@
 #include "harness/experiment.hpp"
 #include "mining/pipeline.hpp"
 #include "obs/event.hpp"
-#include "telemetry/counters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -148,18 +147,19 @@ TEST(SpanTracer, UnboundTracerRecordsNothing) {
 }
 
 TEST(EventStream, NullSinkIsANoOp) {
+  obs::EventTally tally;
   telemetry::TrialTelemetry telem;
-  obs::TrialObservers observers{&telem, nullptr, nullptr};
+  obs::TrialObservers observers{&tally, &telem, nullptr};
   obs::emit(nullptr, obs::Event::kProcSpawned, 0, 4);
-  EXPECT_EQ(telem.counters.proc_spawns, 0u);
-  // One event: +1 on its count field, `b` lifts its high watermark.
+  EXPECT_EQ(tally, obs::EventTally{});
+  // One event: +1 on its count, `b` lifts its high watermark.
   obs::emit(&observers, obs::Event::kProcSpawned, 0, 9);
   obs::emit(&observers, obs::Event::kProcSpawned, 0, 3);
-  EXPECT_EQ(telem.counters.proc_spawns, 2u);
-  EXPECT_EQ(telem.counters.peak_procs, 9u);
-  // `a` feeds += fields and tick histograms.
+  EXPECT_EQ(tally.count(obs::Event::kProcSpawned), 2u);
+  EXPECT_EQ(tally.peak(obs::Event::kProcSpawned), 9u);
+  // `a` feeds sums and tick histograms.
   obs::emit(&observers, obs::Event::kFdAcquired, 5, 5);
-  EXPECT_EQ(telem.counters.fds_acquired, 5u);
+  EXPECT_EQ(tally.sum(obs::Event::kFdAcquired), 5u);
   obs::emit(&observers, obs::Event::kItemDone, 7);
   EXPECT_EQ(telem.item_latency_ticks.count(), 1u);
 }
@@ -296,16 +296,20 @@ TEST(TelemetryDeterminism, InstrumentedTrialMatchesItselfAndCounts) {
   const auto plan = inject::plan_for(seeds.front(), 7);
   const auto factory = harness::standard_mechanisms().front().make;
 
+  obs::EventTally tally_a;
+  obs::EventTally tally_b;
   telemetry::TrialTelemetry a;
   telemetry::TrialTelemetry b;
   {
     auto mech = factory();
-    harness::run_trial(plan, *mech, {}, {.telemetry = &a});
+    harness::run_trial(plan, *mech, {}, {.tally = &tally_a, .telemetry = &a});
   }
   {
     auto mech = factory();
-    harness::run_trial(plan, *mech, {}, {.telemetry = &b});
+    harness::run_trial(plan, *mech, {}, {.tally = &tally_b, .telemetry = &b});
   }
+  EXPECT_EQ(tally_a, tally_b);
+  EXPECT_GT(tally_a.count(obs::Event::kProcSpawned), 0u);
   EXPECT_EQ(a.spans.spans(), b.spans.spans());
   EXPECT_EQ(a.recovery_latency_ticks, b.recovery_latency_ticks);
   EXPECT_EQ(a.item_latency_ticks, b.item_latency_ticks);
